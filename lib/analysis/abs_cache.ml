@@ -3,46 +3,7 @@ module Basic_block = Ripple_isa.Basic_block
 module Geometry = Ripple_cache.Geometry
 module Json = Ripple_util.Json
 
-(* ------------------------------------------------------------------ *)
-(* Small dense bit sets over [0, k), packed into int arrays.  The hot
-   loop copies whole states per transfer, so the representation is
-   chosen for cheap copy (Array.copy / memcpy) and word-parallel
-   join. *)
-
-let bpw = Sys.int_size
-
-let bs_get s i = s.(i / bpw) land (1 lsl (i mod bpw)) <> 0
-
-let bs_set s i =
-  let w = i / bpw in
-  s.(w) <- s.(w) lor (1 lsl (i mod bpw))
-
-let bs_clear s i =
-  let w = i / bpw in
-  s.(w) <- s.(w) land lnot (1 lsl (i mod bpw))
-
-let bs_inter_into dst src =
-  for w = 0 to Array.length dst - 1 do
-    dst.(w) <- dst.(w) land src.(w)
-  done
-
-let bs_union_into dst src =
-  for w = 0 to Array.length dst - 1 do
-    dst.(w) <- dst.(w) lor src.(w)
-  done
-
-let int_array_equal a b =
-  let n = Array.length a in
-  n = Array.length b
-  &&
-  let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
-  go 0
-
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
-  go x 0
-
-let bs_count s = Array.fold_left (fun acc w -> acc + popcount w) 0 s
+module Bits = Gen_kill.Bits
 
 (* ------------------------------------------------------------------ *)
 (* The product abstract state, chunked by cache set: per member line
@@ -63,7 +24,7 @@ let copy_chunk c =
   { any = Array.copy c.any; may = Array.copy c.may; age = Bytes.copy c.age }
 
 let chunk_struct_equal a b =
-  int_array_equal a.any b.any && int_array_equal a.may b.may && Bytes.equal a.age b.age
+  Bits.equal a.any b.any && Bits.equal a.may b.may && Bytes.equal a.age b.age
 
 let chunk_equal a b = a == b || chunk_struct_equal a b
 
@@ -71,9 +32,9 @@ let chunk_join a b =
   if a == b then a
   else begin
     let any = Array.copy a.any in
-    bs_inter_into any b.any;
+    Bits.inter_into any b.any;
     let may = Array.copy a.may in
-    bs_union_into may b.may;
+    Bits.union_into may b.may;
     let age = Bytes.copy a.age in
     for i = 0 to Bytes.length age - 1 do
       let y = Bytes.get_uint8 b.age i in
@@ -119,16 +80,13 @@ type site_fact = {
 }
 
 (* Memoized per-hint-line auxiliary passes (see [prove]):
-   [r]  — may the line be re-referenced, before another invalidation of
-          it, starting at this block?  (backward reachability, used for
-          Proved_dead)
    [fe] — on *every* closed path from this block, is the first same-set
           event an access to the line itself?  (least fixpoint, used
           for Proved_harmful)
    [d]  — which distinct same-set lines are touched on every path
           before the line is re-referenced?  (greatest fixpoint over
           per-set bit sets, used for Proved_pressure) *)
-type pass = { r : bool array; fe : bool array; d : int array array; top : int array }
+type pass = { fe : bool array; d : int array array; top : int array }
 
 type t = {
   geometry : Geometry.t;
@@ -148,37 +106,11 @@ type t = {
   facts : site_fact array array;
   hint_res : (bool * bool) array array;  (* (must-any, may) residency at each hint *)
   stats : Fixpoint.stats;
+  reref : Gen_kill.t Lazy.t;
+      (* may a hinted line be re-referenced from this node before
+         another invalidation of it?  (Proved_dead; see [analyze]) *)
   passes : (Addr.line, pass) Hashtbl.t;
 }
-
-let closed_successors ~entry blocks =
-  let n = Array.length blocks in
-  let return_tos =
-    Array.fold_left
-      (fun acc (b : Basic_block.t) ->
-        match b.Basic_block.term with
-        | Basic_block.Call { return_to; _ } | Basic_block.Indirect_call { return_to; _ }
-          ->
-          return_to :: acc
-        | _ -> acc)
-      [] blocks
-  in
-  (* A [Return] may resume at any call's return site (the stack is not
-     tracked; overflow drops frames) or at the entry/dispatcher when
-     the stack is empty; [Halt] restarts at the entry. *)
-  let resume = List.sort_uniq compare (entry :: return_tos) in
-  Array.map
-    (fun (b : Basic_block.t) ->
-      let extra =
-        match b.Basic_block.term with
-        | Basic_block.Return -> resume
-        | Basic_block.Halt -> [ entry ]
-        | _ -> []
-      in
-      List.filter
-        (fun s -> s >= 0 && s < n)
-        (List.sort_uniq compare (Cfg.flow_successors b @ extra)))
-    blocks
 
 let analyze ~geometry ~entry blocks =
   let n = Array.length blocks in
@@ -190,10 +122,10 @@ let analyze ~geometry ~entry blocks =
      [n], no code, identity transfer): every [Return] feeds the hub and
      the hub feeds every resume site.  Joins are associative and
      idempotent, so every fixpoint over the factored graph equals the
-     one over the direct closure ({!closed_successors}), while the edge
-     count drops from |returns| x |sites| to |returns| + |sites| — the
-     difference between minutes and milliseconds on data-center-sized
-     CFGs, where both factors run into the hundreds. *)
+     one over the direct closure, while the edge count drops from
+     |returns| x |sites| to |returns| + |sites| — the difference between
+     minutes and milliseconds on data-center-sized CFGs, where both
+     factors run into the hundreds. *)
   let nn = n + 1 in
   let hub = n in
   let return_tos =
@@ -329,13 +261,13 @@ let analyze ~geometry ~entry blocks =
     own ~base st s;
     let ch = st.(s) in
     let sl = set_slot.(i) in
-    if not (bs_get ch.any sl) then
-      if pers.(s) then bs_set ch.any sl
+    if not (Bits.get ch.any sl) then
+      if pers.(s) then Bits.set ch.any sl
       else begin
         (* A potential miss in a non-persistent set may evict anything
            there, whichever policy picks the victim. *)
         Array.fill ch.any 0 (Array.length ch.any) 0;
-        bs_set ch.any sl
+        Bits.set ch.any sl
       end;
     let a = Bytes.get_uint8 ch.age sl in
     for j = 0 to set_size.(s) - 1 do
@@ -345,7 +277,7 @@ let analyze ~geometry ~entry blocks =
       end
     done;
     Bytes.set_uint8 ch.age sl 0;
-    bs_set ch.may sl
+    Bits.set ch.may sl
   in
   let apply_hint ~base st = function
     | Basic_block.Invalidate l -> (
@@ -356,8 +288,8 @@ let analyze ~geometry ~entry blocks =
         own ~base st s;
         let ch = st.(s) in
         let sl = set_slot.(i) in
-        bs_clear ch.any sl;
-        bs_clear ch.may sl;
+        Bits.clear ch.any sl;
+        Bits.clear ch.may sl;
         Bytes.set_uint8 ch.age sl ways)
     | Basic_block.Demote l -> (
       match Hashtbl.find_opt id_of_line l with
@@ -388,8 +320,8 @@ let analyze ~geometry ~entry blocks =
   in
   let empty_chunk m =
     {
-      any = Array.make ((m + bpw - 1) / bpw) 0;
-      may = Array.make ((m + bpw - 1) / bpw) 0;
+      any = Bits.create m;
+      may = Bits.create m;
       age = Bytes.make m (Char.chr ways);
     }
   in
@@ -449,14 +381,14 @@ let analyze ~geometry ~entry blocks =
           let i = ids.(index) in
           let ch = st.(set_of_id.(i)) in
           let sl = set_slot.(i) in
-          let resident_any = bs_get ch.any sl in
+          let resident_any = Bits.get ch.any sl in
           fs.(index) <-
             {
               index;
               line = line_of_id.(i);
               must_hit = resident_any;
               must_hit_lru = resident_any || Bytes.get_uint8 ch.age sl < ways;
-              always_miss = not (bs_get ch.may sl);
+              always_miss = not (Bits.get ch.may sl);
             };
           touch ~base st i
         done;
@@ -469,11 +401,36 @@ let analyze ~geometry ~entry blocks =
           | Some i ->
             let ch = st.(set_of_id.(i)) in
             let sl = set_slot.(i) in
-            hr.(j) <- (bs_get ch.any sl, bs_get ch.may sl));
+            hr.(j) <- (Bits.get ch.any sl, Bits.get ch.may sl));
           apply_hint ~base st hs.(j)
         done;
         hint_res.(v) <- hr)
     blocks;
+  (* Re-reference reachability, one backward gen/kill problem over the
+     hub-extended closed graph for every hinted line: a reference
+     generates, only an [Invalidate] kills, and a block that both
+     references and invalidates still reaches (lines execute before
+     hints).  Demoted lines are tracked too, since [prove] asks about
+     them.  Forced by the first proof that needs it. *)
+  let reref =
+    lazy
+      (Gen_kill.solve
+         ~tracked:
+           (Array.fold_left
+              (fun acc (b : Basic_block.t) ->
+                Array.fold_left (fun acc h -> Basic_block.hint_line h :: acc) acc
+                  b.Basic_block.hints)
+              [] blocks)
+         ~preds:succs
+         ~boundary:(fun _ -> false)
+         ~gen:(fun v -> if v < n then Basic_block.lines blocks.(v) else [])
+         ~kill:(fun v ->
+           if v < n then
+             List.filter_map
+               (function Basic_block.Invalidate l -> Some l | Basic_block.Demote _ -> None)
+               (Array.to_list blocks.(v).Basic_block.hints)
+           else []))
+  in
   {
     geometry;
     blocks;
@@ -492,6 +449,7 @@ let analyze ~geometry ~entry blocks =
     facts;
     hint_res;
     stats = res.Solver.stats;
+    reref;
     passes = Hashtbl.create 16;
   }
 
@@ -536,7 +494,7 @@ let proved_safe = function
 let compute_pass t l =
   (* Passes run over the hub-extended graph ([nn] nodes, see
      {!analyze}): the hub has no lines and no hints, so it is
-     transparent to all three fixpoints and the results at real blocks
+     transparent to both fixpoints and the results at real blocks
      match the directly-closed graph. *)
   let nb = Array.length t.blocks in
   let nn = Array.length t.succs in
@@ -549,28 +507,6 @@ let compute_pass t l =
       Array.exists
         (function Basic_block.Invalidate x -> x = l | Basic_block.Demote _ -> false)
         t.blocks.(v).Basic_block.hints
-  done;
-  (* [r]: backward may-reachability of a reference to [l], gated per
-     block by "no invalidation of [l] is crossed first".  A block that
-     both references and invalidates counts as reaching (lines execute
-     before hints). *)
-  let r = Array.make nn false in
-  let q = Queue.create () in
-  for v = 0 to nn - 1 do
-    if t.reach.(v) && refs.(v) then begin
-      r.(v) <- true;
-      Queue.add v q
-    end
-  done;
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    List.iter
-      (fun p ->
-        if t.reach.(p) && (not r.(p)) && not invs.(p) then begin
-          r.(p) <- true;
-          Queue.add p q
-        end)
-      t.preds.(v)
   done;
   (* [fe]: least fixpoint of "the first same-set event on every path
      from here is an access to [l] itself".  Per block the event is
@@ -644,15 +580,15 @@ let compute_pass t l =
      never re-reference [l] at all or re-invalidate it first. *)
   let members = t.set_members.(sl) in
   let m = List.length members in
-  let nw = max 1 ((m + bpw - 1) / bpw) in
-  let top = Array.make nw 0 in
+  let top = Bits.create m in
+  let nw = Array.length top in
   List.iter
-    (fun i -> if t.line_of_id.(i) <> l then bs_set top t.set_slot.(i))
+    (fun i -> if t.line_of_id.(i) <> l then Bits.set top t.set_slot.(i))
     members;
   (* Block scans are lazy and memoized, and the untouched-set scan
      shares one zero vector: most blocks never touch [l]'s set, and in
      a localized sweep most are never even evaluated. *)
-  let zero = Array.make nw 0 in
+  let zero = Bits.create m in
   let scan_done = Array.make nn false in
   let scan_closed = Array.make nn false in
   let scan_acc = Array.make nn zero in
@@ -671,8 +607,8 @@ let compute_pass t l =
                else if Geometry.set_of_line t.geometry line = sl then
                  match Hashtbl.find_opt t.id_of_line line with
                  | Some i ->
-                   if !acc == zero then acc := Array.make nw 0;
-                   bs_set !acc t.set_slot.(i)
+                   if !acc == zero then acc := Bits.create m;
+                   Bits.set !acc t.set_slot.(i)
                  | None -> ())
              (Basic_block.lines t.blocks.(v))
          with Exit -> ());
@@ -683,17 +619,17 @@ let compute_pass t l =
   (* Entries only ever *replace* [d.(v)] with freshly allocated arrays,
      so sharing [top] as the initial value is safe. *)
   let d = Array.make nn top in
-  let scratch = Array.make nw 0 in
+  let scratch = Bits.create m in
   let eval_changed v =
     scan v;
     if scan_closed.(v) then Array.blit scan_acc.(v) 0 scratch 0 nw
     else if invs.(v) then Array.blit top 0 scratch 0 nw
     else begin
       Array.blit top 0 scratch 0 nw;
-      List.iter (fun s -> bs_inter_into scratch d.(s)) t.succs.(v);
-      bs_union_into scratch scan_acc.(v)
+      List.iter (fun s -> Bits.inter_into scratch d.(s)) t.succs.(v);
+      Bits.union_into scratch scan_acc.(v)
     end;
-    not (int_array_equal scratch d.(v))
+    not (Bits.equal scratch d.(v))
   in
   (* Greatest fixpoint from top, swept in postorder (successors before
      predecessors) so forward dependencies resolve within a sweep.
@@ -719,7 +655,7 @@ let compute_pass t l =
       t.post;
     pending := Array.exists Fun.id dirty
   done;
-  { r; fe; d; top }
+  { fe; d; top }
 
 let get_pass t l =
   match Hashtbl.find_opt t.passes l with
@@ -752,9 +688,13 @@ let prove t ~block ~index =
     let later_inv = !later_inv in
     let succs = t.succs.(block) in
     let ways = t.geometry.Geometry.ways in
-    let p = get_pass t l in
     if not resident_may then Proved_noop
-    else if later_inv || List.for_all (fun s -> not p.r.(s)) succs then Proved_dead
+    else if
+      later_inv
+      || List.for_all
+           (fun s -> not (t.reach.(s) && Gen_kill.mem_out (Lazy.force t.reref) ~node:s l))
+           succs
+    then Proved_dead
     else if
       demote
       &&
@@ -763,9 +703,10 @@ let prove t ~block ~index =
       | None -> false
     then Proved_persistent
     else begin
+      let p = get_pass t l in
       let inter = Array.copy p.top in
-      List.iter (fun s -> bs_inter_into inter p.d.(s)) succs;
-      if bs_count inter >= ways then Proved_pressure
+      List.iter (fun s -> Bits.inter_into inter p.d.(s)) succs;
+      if Bits.count inter >= ways then Proved_pressure
       else if
         (not demote) && resident_any && succs <> []
         && List.for_all (fun s -> p.fe.(s)) succs

@@ -44,21 +44,18 @@
     Every domain is a finite join-semilattice — bit vectors under
     intersection/union, age vectors under pointwise max capped at
     [ways] — and every transfer function is monotone, so the
-    {!Fixpoint} iteration converges without widening.  The auxiliary
-    hint passes (guaranteed re-reference, guaranteed conflicts) are
-    Kleene iterations over finite lattices with the fixpoint side
-    (least resp. greatest) chosen to match their inductive
-    resp. coinductive claim. *)
+    {!Fixpoint} iteration converges without widening.  The re-reference
+    reachability behind dead proofs is one {!Gen_kill} problem over
+    every hinted line at once.  The per-line hint passes (guaranteed
+    re-reference, guaranteed conflicts) are Kleene iterations over
+    finite lattices with the fixpoint side (least resp. greatest)
+    chosen to match their inductive resp. coinductive claim. *)
 
 module Addr := Ripple_isa.Addr
 module Basic_block := Ripple_isa.Basic_block
 module Geometry := Ripple_cache.Geometry
 
 type t
-
-val closed_successors : entry:int -> Basic_block.t array -> int list array
-(** The flow graph plus the return/halt closure edges described above;
-    deduplicated, out-of-range targets dropped. *)
 
 val analyze : geometry:Geometry.t -> entry:int -> Basic_block.t array -> t
 (** Run all three domains to their fixpoint.  Requires a structurally

@@ -34,16 +34,6 @@ let reachable ~entry blocks =
   done;
   seen
 
-let exits blocks =
-  let acc = ref [] in
-  Array.iter
-    (fun (b : Basic_block.t) ->
-      match b.Basic_block.term with
-      | Basic_block.Return | Basic_block.Halt -> acc := b.Basic_block.id :: !acc
-      | _ -> ())
-    blocks;
-  List.rev !acc
-
 (* ---------------------------- structural ---------------------------- *)
 
 let check_extents findings (b : Basic_block.t) =

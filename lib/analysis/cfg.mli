@@ -32,10 +32,6 @@ val reachable : entry:int -> Basic_block.t array -> bool array
     Out-of-range ids (including a bad [entry]) are skipped, never
     raised. *)
 
-val exits : Basic_block.t array -> int list
-(** Ids of [Return] and [Halt] blocks — the sinks a post-dominator
-    computation hangs its virtual exit on. *)
-
 val check : entry:int -> ?aligned:bool array -> Basic_block.t array -> Finding.t list
 (** Layer 1 of the linter: structural invariants.
 

@@ -16,11 +16,9 @@ module Make (D : DOMAIN) = struct
     (* Successor lists, inverted from [preds]: a change to out(v) must
        reach exactly the nodes that read it. *)
     let succs = Array.make n [] in
-    Array.iteri
-      (fun v ps ->
-        List.iter (fun p -> if p >= 0 && p < n then succs.(p) <- v :: succs.(p)) ps)
-      preds;
-    Array.iteri (fun v l -> succs.(v) <- List.rev l) succs;
+    for v = n - 1 downto 0 do
+      List.iter (fun p -> if p >= 0 && p < n then succs.(p) <- v :: succs.(p)) preds.(v)
+    done;
     let refreshes = Array.make n 0 in
     let iterations = ref 0 and visits = ref 0 and widenings = ref 0 in
     (* Reverse postorder over [succs] from the entry nodes.  Processing
@@ -32,29 +30,45 @@ module Make (D : DOMAIN) = struct
     let order = Array.make n max_int in
     let visited = Array.make n false in
     let postctr = ref n in
-    let stack = Stack.create () in
+    (* Explicit DFS stack: each node is pushed at most once, with the
+       successors it has yet to explore. *)
+    let stack_node = Array.make n 0 and stack_rest = Array.make n [] in
+    let top = ref (-1) in
+    let push_dfs v =
+      visited.(v) <- true;
+      incr top;
+      stack_node.(!top) <- v;
+      stack_rest.(!top) <- succs.(v)
+    in
     let dfs_root r =
       if not visited.(r) then begin
-        visited.(r) <- true;
-        Stack.push (r, succs.(r)) stack;
-        while not (Stack.is_empty stack) do
-          let v, rest = Stack.pop stack in
-          match rest with
+        push_dfs r;
+        while !top >= 0 do
+          match stack_rest.(!top) with
           | [] ->
             decr postctr;
-            order.(v) <- !postctr
+            order.(stack_node.(!top)) <- !postctr;
+            decr top
           | s :: tl ->
-            Stack.push (v, tl) stack;
-            if s >= 0 && s < n && not visited.(s) then begin
-              visited.(s) <- true;
-              Stack.push (s, succs.(s)) stack
-            end
+            stack_rest.(!top) <- tl;
+            if s >= 0 && s < n && not visited.(s) then push_dfs s
         done
       end
     in
     List.iter (fun (v, _) -> if v >= 0 && v < n then dfs_root v) entries;
-    let by_order = Array.init n (fun v -> v) in
-    Array.sort (fun a b -> compare (order.(a), a) (order.(b), b)) by_order;
+    (* Sweep order: the visited nodes by [order] (a permutation onto
+       [!postctr, n)), then the never-reached ones by index. *)
+    let by_order = Array.make n 0 in
+    let first = !postctr in
+    let tail = ref (n - first) in
+    Array.iteri
+      (fun v o ->
+        if o < max_int then by_order.(o - first) <- v
+        else begin
+          by_order.(!tail) <- v;
+          incr tail
+        end)
+      order;
     let dirty = Array.make n false in
     (* Propagation-style chaotic iteration: a change to out(p) is
        joined directly into in(s) for each successor s, rather than

@@ -33,31 +33,38 @@ let sites_of blocks =
 let block_hints_line (b : Basic_block.t) line =
   Array.exists (fun h -> Basic_block.hint_line h = line) b.Basic_block.hints
 
-(* Forward must-analysis for one hinted line: at which blocks does "the
-   line has been hinted away and not referenced since" hold on ALL
-   incoming paths?  Optimistic initialization (true everywhere except
-   roots), decreasing fixpoint. *)
-let must_invalidated ~blocks ~preds line =
-  let n = Array.length blocks in
-  let refs = Array.init n (fun i -> List.mem line (Basic_block.lines blocks.(i))) in
-  let hinted = Array.init n (fun i -> block_hints_line blocks.(i) line) in
-  let inv_in = Array.make n true in
-  Array.iteri (fun i ps -> if ps = [] then inv_in.(i) <- false) preds;
-  let out i = hinted.(i) || (inv_in.(i) && not refs.(i)) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = 0 to n - 1 do
-      if inv_in.(i) && preds.(i) <> [] then begin
-        let v = List.for_all out preds.(i) in
-        if not v then begin
-          inv_in.(i) <- false;
-          changed := true
-        end
-      end
-    done
-  done;
-  (inv_in, refs)
+let hint_lines (b : Basic_block.t) =
+  Array.to_list (Array.map Basic_block.hint_line b.Basic_block.hints)
+
+type liveness = Gen_kill.t
+
+(* Backward: the flow-successor lists stand in for predecessors, so the
+   engine's [in] is live-out and its [out] live-in. *)
+let hit_liveness blocks ~tracked =
+  Gen_kill.solve ~tracked
+    ~preds:(Array.map Cfg.flow_successors blocks)
+    ~boundary:(fun _ -> false)
+    ~gen:(fun b -> Basic_block.lines blocks.(b))
+    ~kill:(fun b -> hint_lines blocks.(b))
+
+let live_in t ~block ~line = Gen_kill.mem_out t ~node:block line
+let live_out t ~block ~line = Gen_kill.mem_in t ~node:block line
+
+(* "Must-invalidated" (the line has been hinted away and not referenced
+   since, on ALL incoming paths) through its dual, the forward
+   may-problem "possibly not invalidated": every line is where no path
+   leads in, a reference not hinted away in the same block revives the
+   line, a hint kills it.  inv_in(b, l) is the complement of the
+   result's [in]. *)
+let not_invalidated blocks ~tracked =
+  let preds = Cfg.predecessors blocks in
+  Gen_kill.solve ~tracked ~preds
+    ~boundary:(fun b -> preds.(b) = [])
+    ~gen:(fun b ->
+      List.filter
+        (fun l -> not (block_hints_line blocks.(b) l))
+        (Basic_block.lines blocks.(b)))
+    ~kill:(fun b -> hint_lines blocks.(b))
 
 (* Bounded forward search from the hint: can the victim line be
    re-referenced while fewer than [ways] distinct same-set lines have
@@ -113,23 +120,15 @@ let find_harmful ~geometry ~blocks ~start ~line =
 
 let classify ~geometry ~entry blocks =
   let sites = sites_of blocks in
-  let tracked = Array.of_list (List.map (fun s -> s.line) sites) in
-  let liveness = Liveness.compute ~blocks ~tracked in
+  let tracked = List.map (fun s -> s.line) sites in
+  let liveness = hit_liveness blocks ~tracked in
+  let nv = not_invalidated blocks ~tracked in
   let dominance = Dominance.of_blocks ~entry blocks in
-  let preds = Cfg.predecessors blocks in
-  (* Per distinct line: must-invalidated state and the hinting blocks. *)
-  let by_line = Hashtbl.create 64 in
-  List.iter
-    (fun s ->
-      if not (Hashtbl.mem by_line s.line) then
-        Hashtbl.add by_line s.line (must_invalidated ~blocks ~preds s.line))
-    sites;
-  let hint_blocks line =
-    List.filter_map (fun s -> if s.line = line then Some s.block else None) sites
-  in
+  (* Hinting blocks per line, in site order. *)
+  let hint_blocks = Hashtbl.create 64 in
+  List.iter (fun s -> Hashtbl.add hint_blocks s.line s.block) (List.rev sites);
   List.map
     (fun s ->
-      let inv_in, refs = Hashtbl.find by_line s.line in
       let duplicate =
         (* An earlier hint on the same line in the same block: the later
            one always finds the line gone. *)
@@ -140,33 +139,32 @@ let classify ~geometry ~entry blocks =
         done;
         !dup
       in
+      let reachability () =
+        match find_harmful ~geometry ~blocks ~start:s.block ~line:s.line with
+        | Some (reuse_block, conflicts) -> Harmful { reuse_block; conflicts }
+        | None ->
+          if live_out liveness ~block:s.block ~line:s.line then Safe_pressure else Safe_dead
+      in
       let classification =
         if duplicate then Redundant { earlier = s.block }
-        else if inv_in.(s.block) && not refs.(s.block) then begin
+        else if
+          (not (Gen_kill.mem_in nv ~node:s.block s.line))
+          && not (List.mem s.line (Basic_block.lines blocks.(s.block)))
+        then begin
           (* Already hint-dead on every path in; cite a dominating hint. *)
           match
             List.find_opt
               (fun d -> d <> s.block && Dominance.dominates dominance ~dom:d s.block)
-              (hint_blocks s.line)
+              (Hashtbl.find_all hint_blocks s.line)
           with
           | Some earlier -> Redundant { earlier }
-          | None -> (
+          | None ->
             (* All-paths-invalidated but no single dominating witness
                (e.g. both arms of a diamond hint the line): still safe,
                fall through to the reachability reasons. *)
-            match find_harmful ~geometry ~blocks ~start:s.block ~line:s.line with
-            | Some (reuse_block, conflicts) -> Harmful { reuse_block; conflicts }
-            | None ->
-              if Liveness.live_out liveness ~block:s.block ~line:s.line then Safe_pressure
-              else Safe_dead)
+            reachability ()
         end
-        else begin
-          match find_harmful ~geometry ~blocks ~start:s.block ~line:s.line with
-          | Some (reuse_block, conflicts) -> Harmful { reuse_block; conflicts }
-          | None ->
-            if Liveness.live_out liveness ~block:s.block ~line:s.line then Safe_pressure
-            else Safe_dead
-        end
+        else reachability ()
       in
       (s, classification))
     sites

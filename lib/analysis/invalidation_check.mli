@@ -25,7 +25,10 @@
     The conflict count along a path is explored lowest-first and
     memoised per block, so the search visits each block at most [ways]
     times; paths are pruned once they saturate the set's associativity
-    or cross another hint on the same line.
+    or cross another hint on the same line.  The facts behind
+    [Redundant] and [Safe_pressure] — must-invalidated and hit-liveness
+    — are two bit-vector problems over all hinted lines at once, solved
+    by {!Gen_kill}.
 
     Return edges are {e not} modelled (see {!Cfg}): reuse that flows
     through a function return is governed by the profile's conditional
@@ -85,3 +88,23 @@ val disagreement : classification -> Abs_cache.verdict -> bool
     to model).  [Proved_persistent] and [Proved_noop] never disagree:
     they reason about residency and victim consultation, which the
     path search does not model at all. *)
+
+(** {1 Hit-liveness}
+
+    A tracked line is {e live} at a point when some {!Cfg.flow_successors}
+    path from it reaches a block touching the line without first
+    crossing another hint on the same line: the backward {!Gen_kill}
+    problem with [gen(b)] the lines [b]'s code touches and [kill(b)] the
+    lines its hints name.  Code runs before the block's hints, so [gen]
+    wins over [kill] within a block.  Hints kill because a reference
+    past another hint on the same line misses whatever an upstream hint
+    did, so it is not at risk from that upstream hint. *)
+
+type liveness
+
+val hit_liveness : Basic_block.t array -> tracked:Addr.line list -> liveness
+(** Requires a structurally valid program (run {!Cfg.check} first). *)
+
+val live_in : liveness -> block:int -> line:Addr.line -> bool
+val live_out : liveness -> block:int -> line:Addr.line -> bool
+(** [false] for untracked lines and out-of-range blocks. *)

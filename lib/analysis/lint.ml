@@ -57,8 +57,12 @@ let footprint_lines blocks =
     blocks;
   lines
 
-let provenance_of provenance ~block ~line =
-  List.find_opt (fun p -> p.block = block && p.line = line) provenance
+(* Keyed by (block, line); the first placement wins on duplicates, as
+   a first-match scan of the list would. *)
+let provenance_index provenance =
+  let index = Hashtbl.create 64 in
+  List.iter (fun p -> Hashtbl.replace index (p.block, p.line) p) (List.rev provenance);
+  index
 
 let provenance_clause = function
   | Some p ->
@@ -68,6 +72,7 @@ let provenance_clause = function
 let hint_findings ~geometry ~provenance ~entry ~abs blocks =
   let footprint = footprint_lines blocks in
   let classified = Invalidation_check.classify ~geometry ~entry blocks in
+  let provenance = provenance_index provenance in
   let counts = ref no_hints in
   let proofs = ref no_proofs in
   let findings = ref [] in
@@ -100,8 +105,7 @@ let hint_findings ~geometry ~provenance ~entry ~abs blocks =
           :: !findings
       end;
       let prov =
-        provenance_of provenance ~block:s.Invalidation_check.block
-          ~line:s.Invalidation_check.line
+        Hashtbl.find_opt provenance (s.Invalidation_check.block, s.Invalidation_check.line)
       in
       let why = provenance_clause prov in
       let verb = if s.Invalidation_check.demote then "demotion" else "invalidation" in

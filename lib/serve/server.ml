@@ -361,12 +361,6 @@ let pump_out c =
 let serve_forever t =
   let serve_fd, port = listen_on t.config.host t.config.port in
   let metrics_fd, metrics_port = listen_on t.config.host t.config.metrics_port in
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      Printf.fprintf oc "%d %d\n" port metrics_port;
-      close_out oc)
-    t.config.ready_file;
   (* A dead peer must surface as EPIPE on write, not kill the daemon. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (* Crash-only shutdown: SIGTERM requests a graceful drain — flush
@@ -375,6 +369,14 @@ let serve_forever t =
      journals instead. *)
   (try Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> t.stopping <- true))
    with Invalid_argument _ -> ());
+  (* Written only once the handlers are in: a supervisor may signal as
+     soon as it sees the file. *)
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      Printf.fprintf oc "%d %d\n" port metrics_port;
+      close_out oc)
+    t.config.ready_file;
   let conns = ref [] in
   let close_conn c =
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
@@ -491,8 +493,9 @@ let serve_forever t =
     let pending c = Buffer.length c.out > c.sent in
     let rfds = serve_fd :: metrics_fd :: List.map (fun c -> c.fd) !conns in
     let wfds = List.filter_map (fun c -> if pending c then Some c.fd else None) !conns in
-    let timeout = if !conns = [] then -1.0 else 0.1 in
-    match Unix.select rfds wfds [] timeout with
+    (* Finite even when idle: a SIGTERM that lands between the
+       [stopping] check and [select] is seen on the next tick. *)
+    match Unix.select rfds wfds [] 0.1 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | readable, writable, _ ->
       if List.mem serve_fd readable then accept_loop serve_fd overloaded_proto proto_conn;

@@ -8,6 +8,7 @@
     more lines — the code-bloat effect §IV charges against Ripple. *)
 
 module Program := Ripple_isa.Program
+module Access_stream := Ripple_cache.Access_stream
 
 type t = int array
 (** Executed block ids, in order. *)

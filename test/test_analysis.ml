@@ -14,7 +14,6 @@ module Json = Ripple_util.Json
 module Finding = Ripple_analysis.Finding
 module Cfg = Ripple_analysis.Cfg
 module Dominance = Ripple_analysis.Dominance
-module Liveness = Ripple_analysis.Liveness
 module Icheck = Ripple_analysis.Invalidation_check
 module Lint = Ripple_analysis.Lint
 module Eviction_window = Ripple_core.Eviction_window
@@ -151,21 +150,6 @@ let test_dominance_loop_and_unreachable () =
   checkb "unreachable has no idom" true (Dominance.idom d 4 = None);
   checkb "nothing dominates unreachable" false (Dominance.dominates d ~dom:0 4)
 
-let test_post_dominance () =
-  let blocks =
-    [|
-      mk ~id:0 ~addr:(at 0) (Basic_block.Cond { taken = 1; fallthrough = 2 });
-      mk ~id:1 ~addr:(at 1) (Basic_block.Jump 3);
-      mk ~id:2 ~addr:(at 2) (Basic_block.Jump 3);
-      mk ~id:3 ~addr:(at 3) Basic_block.Return;
-    |]
-  in
-  let pd = Dominance.post_of_blocks blocks in
-  checkb "join post-dominates fork" true (Dominance.dominates pd ~dom:3 0);
-  checkb "arm does not post-dominate fork" false (Dominance.dominates pd ~dom:1 0);
-  (* The virtual exit (index n) post-dominates everything. *)
-  checkb "virtual exit post-dominates" true (Dominance.dominates pd ~dom:4 0)
-
 (* ---------------------------- liveness ------------------------------ *)
 
 let test_liveness_chain () =
@@ -176,11 +160,11 @@ let test_liveness_chain () =
       mk ~id:2 ~addr:(at 2) Basic_block.Halt;
     |]
   in
-  let l = Liveness.compute ~blocks ~tracked:[| line_at 2 |] in
-  checkb "live at distance" true (Liveness.live_in l ~block:0 ~line:(line_at 2));
-  checkb "live at use" true (Liveness.live_in l ~block:2 ~line:(line_at 2));
-  checkb "dead past last use" false (Liveness.live_out l ~block:2 ~line:(line_at 2));
-  checkb "untracked line is dead" false (Liveness.live_in l ~block:0 ~line:(line_at 1))
+  let l = Icheck.hit_liveness blocks ~tracked:[ line_at 2 ] in
+  checkb "live at distance" true (Icheck.live_in l ~block:0 ~line:(line_at 2));
+  checkb "live at use" true (Icheck.live_in l ~block:2 ~line:(line_at 2));
+  checkb "dead past last use" false (Icheck.live_out l ~block:2 ~line:(line_at 2));
+  checkb "untracked line is dead" false (Icheck.live_in l ~block:0 ~line:(line_at 1))
 
 let test_liveness_hint_kills () =
   let blocks =
@@ -192,9 +176,9 @@ let test_liveness_hint_kills () =
       mk ~id:2 ~addr:(at 2) Basic_block.Halt;
     |]
   in
-  let l = Liveness.compute ~blocks ~tracked:[| line_at 2 |] in
-  checkb "hint kills upstream liveness" false (Liveness.live_in l ~block:0 ~line:(line_at 2));
-  checkb "use below hint still live" true (Liveness.live_in l ~block:2 ~line:(line_at 2))
+  let l = Icheck.hit_liveness blocks ~tracked:[ line_at 2 ] in
+  checkb "hint kills upstream liveness" false (Icheck.live_in l ~block:0 ~line:(line_at 2));
+  checkb "use below hint still live" true (Icheck.live_in l ~block:2 ~line:(line_at 2))
 
 let test_liveness_gen_beats_kill () =
   (* A block that references then invalidates a line still exposes the
@@ -205,9 +189,9 @@ let test_liveness_gen_beats_kill () =
       mk ~hints:[| Basic_block.Invalidate (line_at 1) |] ~id:1 ~addr:(at 1) Basic_block.Halt;
     |]
   in
-  let l = Liveness.compute ~blocks ~tracked:[| line_at 1 |] in
-  checkb "self-reference wins" true (Liveness.live_in l ~block:1 ~line:(line_at 1));
-  checkb "propagates upstream" true (Liveness.live_in l ~block:0 ~line:(line_at 1))
+  let l = Icheck.hit_liveness blocks ~tracked:[ line_at 1 ] in
+  checkb "self-reference wins" true (Icheck.live_in l ~block:1 ~line:(line_at 1));
+  checkb "propagates upstream" true (Icheck.live_in l ~block:0 ~line:(line_at 1))
 
 (* ------------------------- classification --------------------------- *)
 
@@ -1027,7 +1011,6 @@ let suites =
       [
         Alcotest.test_case "diamond" `Quick test_dominance_diamond;
         Alcotest.test_case "loop and unreachable" `Quick test_dominance_loop_and_unreachable;
-        Alcotest.test_case "post-dominators" `Quick test_post_dominance;
       ] );
     ( "analysis.liveness",
       [

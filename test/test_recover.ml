@@ -422,6 +422,45 @@ let test_state_loss_rebase () =
         | _, _ -> Alcotest.fail "SIGTERM drain must exit 0"
       end)
 
+(* SIGTERM the moment the ready file appears, with no connection open.
+   The handler is installed before the file is written and the idle
+   loop wakes on a finite tick, so every stop must drain, exit 0 within
+   the bound and withdraw the file. *)
+let test_immediate_sigterm () =
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      for i = 1 to 10 do
+        let ready = Filename.concat dir (Printf.sprintf "ready-%d" i) in
+        let daemon = spawn_daemon { Server.default_config with Server.ready_file = Some ready } in
+        (* Spin rather than poll, so the signal lands as close to the
+           file's creation as the scheduler allows. *)
+        let deadline = Unix.gettimeofday () +. 10.0 in
+        while (not (Sys.file_exists ready)) && Unix.gettimeofday () < deadline do
+          ()
+        done;
+        if not (Sys.file_exists ready) then Alcotest.fail "daemon never became ready";
+        Unix.kill daemon Sys.sigterm;
+        let status = ref None in
+        let reaped =
+          wait_for ~timeout:5.0 (fun () ->
+              match Unix.waitpid [ Unix.WNOHANG ] daemon with
+              | 0, _ -> false
+              | _, st ->
+                status := Some st;
+                true)
+        in
+        if not reaped then begin
+          Unix.kill daemon Sys.sigkill;
+          ignore (Unix.waitpid [] daemon);
+          Alcotest.failf "stop %d: daemon still up 5 s after SIGTERM" i
+        end;
+        if !status <> Some (Unix.WEXITED 0) then
+          Alcotest.failf "stop %d: SIGTERM drain must exit 0" i;
+        checkb (Printf.sprintf "stop %d: ready file withdrawn" i) false (Sys.file_exists ready)
+      done)
+
 let () =
   Alcotest.run "ripple-recover"
     [
@@ -430,5 +469,6 @@ let () =
           Alcotest.test_case "kill -9 then recover" `Slow test_kill9_recover;
           Alcotest.test_case "kill -9 twice then recover" `Slow test_double_kill9_recover;
           Alcotest.test_case "state loss mid-push rebases" `Slow test_state_loss_rebase;
+          Alcotest.test_case "SIGTERM right after ready exits 0" `Slow test_immediate_sigterm;
         ] );
     ]
