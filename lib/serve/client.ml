@@ -27,58 +27,46 @@ let write_all fd s =
     pos := !pos + Unix.write_substring fd s !pos (len - !pos)
   done
 
-let request t frame =
-  let out = Buffer.create 256 in
-  Protocol.write_frame out frame;
-  write_all t.fd (Buffer.contents out);
-  let rec await () =
-    match Protocol.Reader.pop_reply t.reader with
-    | `Reply r -> r
-    | `Corrupt msg -> failwith ("Client.request: " ^ msg)
-    | `Awaiting -> begin
-      match Unix.read t.fd t.buf 0 (Bytes.length t.buf) with
-      | 0 -> failwith "Client.request: server closed connection"
-      | n ->
-        Protocol.Reader.add t.reader t.buf n;
-        await ()
-    end
-  in
-  await ()
-
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
-
-(* ------------------------- resumable push ------------------------- *)
 
 let int_field key json =
   match Json.member key json with Some (Json.Int n) -> Some n | _ -> None
 
-(* Write one sequenced frame and read replies until the one answering
-   [seq] arrives.  A duplicating fault can make the server send more
-   replies than the client sent frames, knocking the lockstep
-   request/reply pairing out of alignment — replies tagged with an older
-   sequence number are stale echoes and are skipped. *)
-let request_seq t frame ~seq =
+(* Write one frame and read replies until one that is not [stale]
+   arrives. *)
+let exchange ~caller ~stale t frame =
   let out = Buffer.create 256 in
   Protocol.write_frame out frame;
   write_all t.fd (Buffer.contents out);
   let rec await () =
     match Protocol.Reader.pop_reply t.reader with
-    | `Reply (Protocol.Ok json as r) -> begin
-      match int_field "seq" json with
-      | Some s when s < seq -> await ()
-      | _ -> r
-    end
+    | `Reply r when stale r -> await ()
     | `Reply r -> r
-    | `Corrupt msg -> failwith ("Client.request_seq: " ^ msg)
+    | `Corrupt msg -> failwith (caller ^ ": " ^ msg)
     | `Awaiting -> begin
       match Unix.read t.fd t.buf 0 (Bytes.length t.buf) with
-      | 0 -> failwith "Client.request_seq: server closed connection"
+      | 0 -> failwith (caller ^ ": server closed connection")
       | n ->
         Protocol.Reader.add t.reader t.buf n;
         await ()
     end
   in
   await ()
+
+let request t frame = exchange ~caller:"Client.request" ~stale:(fun _ -> false) t frame
+
+(* A duplicating fault can make the server send more replies than the
+   client sent frames, knocking the lockstep request/reply pairing out
+   of alignment — replies tagged with an older sequence number are
+   stale echoes and are skipped. *)
+let request_seq t frame ~seq =
+  let stale = function
+    | Protocol.Ok json -> (match int_field "seq" json with Some s -> s < seq | None -> false)
+    | Protocol.Error _ -> false
+  in
+  exchange ~caller:"Client.request_seq" ~stale t frame
+
+(* ------------------------- resumable push ------------------------- *)
 
 type push_result = { status : Json.t; attempts_used : int }
 
@@ -98,6 +86,48 @@ let push_with_retries ?(attempts = 8) ?(timeout = 5.0) ?(backoff = 0.05) ?(seed 
      reconnects — is our frames consuming [base .. base+n] exactly
      once. *)
   let base = ref None in
+  let ( let* ) = Result.bind in
+  let expect what = function
+    | Protocol.Ok json -> Ok json
+    | Protocol.Error msg -> Error (what ^ ": " ^ msg)
+  in
+  let attempt c =
+    let* hello =
+      expect "hello" (request c (Protocol.Hello_v { app; version = Protocol.version }))
+    in
+    let* next_seq =
+      Option.to_result ~none:"hello: reply carries no next_seq" (int_field "next_seq" hello)
+    in
+    let b =
+      match !base with
+      | Some b when next_seq >= b -> b
+      | Some _ | None ->
+        (* First hello — or the server's horizon regressed below the
+           pinned base (state dir wiped, durable state lost).  Re-pin
+           and restart the push from chunk 0: retrying the old range
+           would be answered "gap: expected seq N" forever. *)
+        base := Some next_seq;
+        next_seq
+    in
+    if next_seq > b + n then
+      (* The flush slot is already consumed: a previous attempt
+         completed the whole push and only its reply was lost. *)
+      expect "status" (request c Protocol.Status)
+    else begin
+      (* Resume where the server actually got to. *)
+      let rec send i =
+        if i >= n then
+          expect "flush" (request_seq c ~seq:(b + n) (Protocol.Flush_seq { seq = b + n }))
+        else
+          match
+            request_seq c ~seq:(b + i) (Protocol.Chunk_seq { seq = b + i; data = chunks.(i) })
+          with
+          | Protocol.Ok _ -> send (i + 1)
+          | Protocol.Error msg -> Error (Printf.sprintf "chunk %d: %s" i msg)
+      in
+      send (max 0 (next_seq - b))
+    end
+  in
   let last_error = ref "no attempt made" in
   let result = ref None in
   let attempt_no = ref 0 in
@@ -111,66 +141,7 @@ let push_with_retries ?(attempts = 8) ?(timeout = 5.0) ?(backoff = 0.05) ?(seed 
     incr attempt_no;
     match
       let c = connect ~timeout ~host ~port () in
-      Fun.protect
-        ~finally:(fun () -> close c)
-        (fun () ->
-          match request c (Protocol.Hello_v { app; version = Protocol.version }) with
-          | Protocol.Error msg -> Error ("hello: " ^ msg)
-          | Protocol.Ok hello -> begin
-            match int_field "next_seq" hello with
-            | None ->
-              (* v1 server: no resume horizon.  Push unsequenced and
-                 hope — still correct when nothing interferes. *)
-              Array.iter (fun data -> ignore (request c (Protocol.Chunk data))) chunks;
-              let status =
-                match request c Protocol.Flush with
-                | Protocol.Ok json -> json
-                | Protocol.Error msg -> failwith ("flush: " ^ msg)
-              in
-              Ok status
-            | Some next_seq -> begin
-              let b =
-                match !base with
-                | Some b when next_seq >= b -> b
-                | Some _ | None ->
-                  (* First hello — or the server's horizon regressed
-                     below the pinned base (state dir wiped, durable
-                     state lost).  Re-pin and restart the push from
-                     chunk 0: retrying the old range would be answered
-                     "gap: expected seq N" forever. *)
-                  base := Some next_seq;
-                  next_seq
-              in
-              if next_seq > b + n then
-                (* The flush slot is already consumed: a previous
-                   attempt completed the whole push and only its reply
-                   was lost. *)
-                match request c Protocol.Status with
-                | Protocol.Ok status -> Ok status
-                | Protocol.Error msg -> Error ("status: " ^ msg)
-              else begin
-                (* Resume where the server actually got to. *)
-                let start = max 0 (next_seq - b) in
-                let rec send i =
-                  if i >= n then Ok ()
-                  else
-                    match
-                      request_seq c ~seq:(b + i)
-                        (Protocol.Chunk_seq { seq = b + i; data = chunks.(i) })
-                    with
-                    | Protocol.Ok _ -> send (i + 1)
-                    | Protocol.Error msg -> Error (Printf.sprintf "chunk %d: %s" i msg)
-                in
-                match send start with
-                | Error _ as e -> e
-                | Ok () -> begin
-                  match request_seq c ~seq:(b + n) (Protocol.Flush_seq { seq = b + n }) with
-                  | Protocol.Ok status -> Ok status
-                  | Protocol.Error msg -> Error ("flush: " ^ msg)
-                end
-              end
-            end
-          end)
+      Fun.protect ~finally:(fun () -> close c) (fun () -> attempt c)
     with
     | Ok status -> result := Some { status; attempts_used = !attempt_no }
     | Error msg -> last_error := msg

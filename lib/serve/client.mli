@@ -1,11 +1,11 @@
 (** Client side of the {!Protocol} wire format — what [ripple-sim push]
     and the end-to-end tests speak to a running daemon.
 
-    {!connect}/{!request} are the minimal blocking v1 surface.
-    {!push_with_retries} is the resumable v2 push: at-least-once
-    delivery over sequenced frames, reconnect-and-resume after any
-    network fault, exponential backoff with seeded jitter.  Its safety
-    argument is the server's sequence dedup ({!Session.apply_chunk}):
+    {!connect}/{!request}/{!request_seq} exchange single frames over one
+    blocking connection.  {!push_with_retries} is the resumable push:
+    at-least-once delivery over sequenced frames, reconnect-and-resume
+    after any network fault, exponential backoff with seeded jitter.
+    Its safety argument is the server's sequence dedup ({!Session.apply_chunk}):
     replaying an already-applied frame is acknowledged, never
     re-applied, so the worst a fault can cost is time. *)
 

@@ -3,9 +3,7 @@ module Json = Ripple_util.Json
 type frame =
   | Hello of string
   | Hello_v of { app : string; version : int }
-  | Chunk of bytes
   | Chunk_seq of { seq : int; data : bytes }
-  | Flush
   | Flush_seq of { seq : int }
   | Status
   | Bye
@@ -17,25 +15,24 @@ type reply = Ok of Json.t | Error of string
    the reader try to buffer. *)
 let max_payload = 16 * 1024 * 1024
 
-(* Highest protocol version this build speaks.  v1 is the original
-   unsequenced frame set; v2 adds version negotiation in Hello and
-   per-session sequence numbers on Chunk/Flush so pushes are
-   at-least-once with server-side dedup. *)
+(* The one protocol version this build speaks: version negotiation in
+   Hello_v and per-session sequence numbers on every chunk and flush, so
+   pushes are at-least-once with server-side dedup.  Tags 'C' and 'F'
+   stay unassigned: a peer still sending version 1's unsequenced chunk
+   or flush must read as corrupt, never as some other frame. *)
 let version = 2
 
 let frame_name = function
   | Hello _ | Hello_v _ -> "hello"
-  | Chunk _ | Chunk_seq _ -> "chunk"
-  | Flush | Flush_seq _ -> "flush"
+  | Chunk_seq _ -> "chunk"
+  | Flush_seq _ -> "flush"
   | Status -> "status"
   | Bye -> "bye"
 
 let tag_of_frame = function
   | Hello _ -> 'H'
   | Hello_v _ -> 'h'
-  | Chunk _ -> 'C'
   | Chunk_seq _ -> 'c'
-  | Flush -> 'F'
   | Flush_seq _ -> 'f'
   | Status -> 'S'
   | Bye -> 'B'
@@ -79,10 +76,9 @@ let write_frame buf frame =
     | Hello_v { app; version } ->
       if version < 1 || version > 0xFF then invalid_arg "Protocol.write_frame: bad version";
       String.make 1 (Char.chr version) ^ app
-    | Chunk data -> Bytes.to_string data
     | Chunk_seq { seq; data } -> u32_to_string (check_seq seq) ^ Bytes.to_string data
     | Flush_seq { seq } -> u32_to_string (check_seq seq)
-    | Flush | Status | Bye -> ""
+    | Status | Bye -> ""
   in
   write buf (tag_of_frame frame) payload
 
@@ -147,7 +143,6 @@ module Reader = struct
                  app = String.sub payload 1 (String.length payload - 1);
                  version = Char.code payload.[0];
                })
-      | 'C' -> `Frame (Chunk (Bytes.of_string payload))
       | 'c' ->
         if String.length payload < 4 then `Corrupt "sequenced chunk payload too short"
         else
@@ -157,7 +152,6 @@ module Reader = struct
                  seq = u32_of_string payload 0;
                  data = Bytes.of_string (String.sub payload 4 (String.length payload - 4));
                })
-      | 'F' -> `Frame Flush
       | 'f' ->
         if String.length payload <> 4 then `Corrupt "sequenced flush payload malformed"
         else `Frame (Flush_seq { seq = u32_of_string payload 0 })

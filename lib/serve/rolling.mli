@@ -1,6 +1,6 @@
 (** Rolling windowed profile: the daemon's memory of recent captures.
 
-    Each [Hello]-to-[Flush] cycle closes one {e generation} — the blocks a
+    Each capture, closed by its flush, is one {e generation} — the blocks a
     {!Ripple_trace.Pt.Session} decoded from that capture, plus the
     header's advertised count and the error/resync tallies.  The window
     keeps whole generations, newest last, and evicts the oldest while

@@ -155,117 +155,75 @@ let snapshot_all t =
     t.sessions
 
 module Conn = struct
-  type conn = { mutable session : Session.t option; mutable version : int }
+  type conn = { mutable session : Session.t option }
 
-  let create () = { session = None; version = 1 }
-
-  let bind_session t conn app =
-    match find_session t app with
-    | Some s ->
-      conn.session <- Some s;
-      `Ok s
-    | None ->
-      if List.length t.sessions >= t.config.max_sessions then `Overloaded
-      else begin
-        match t.config.lookup app with
-        | Some program ->
-          let s = register_session t app program in
-          conn.session <- Some s;
-          `Ok s
-        | None -> `Unknown
-      end
+  let create () = { session = None }
 
   let with_fields extra json =
     match json with Json.Obj fields -> Json.Obj (extra @ fields) | json -> json
+
+  (* Attach [conn] to [app]'s session, registering it on first sight,
+     and answer with its status led by [extra]. *)
+  let bind_session t conn app ~extra =
+    let bound s =
+      conn.session <- Some s;
+      Protocol.Ok (with_fields extra (Session.status s))
+    in
+    match find_session t app with
+    | Some s -> bound s
+    | None when List.length t.sessions >= t.config.max_sessions ->
+      Obs.Metric.incr t.cells.connections_shed;
+      Protocol.Error "overloaded"
+    | None -> begin
+      match t.config.lookup app with
+      | Some program -> bound (register_session t app program)
+      | None -> Protocol.Error (Printf.sprintf "unknown app %S" app)
+    end
+
+  let dup = [ ("dup", Json.Bool true) ]
+  let gap expected = Protocol.Error (Printf.sprintf "gap: expected seq %d" expected)
+
+  let reply t conn frame =
+    match (frame, conn.session) with
+    | Protocol.Hello app, _ -> bind_session t conn app ~extra:[]
+    | Protocol.Hello_v { version; _ }, _ when version < Protocol.version ->
+      Protocol.Error (Printf.sprintf "unsupported protocol version %d" version)
+    | Protocol.Hello_v { app; _ }, _ ->
+      bind_session t conn app ~extra:[ ("version", Json.Int Protocol.version) ]
+    | Protocol.Bye, _ -> Protocol.Ok (Json.Obj [ ("bye", Json.Bool true) ])
+    | (Protocol.Chunk_seq _ | Protocol.Flush_seq _ | Protocol.Status), None ->
+      Protocol.Error (Protocol.frame_name frame ^ " before hello")
+    | Protocol.Chunk_seq { seq; data }, Some s -> begin
+      let ack decoded extra =
+        Protocol.Ok (Json.Obj (("decoded", Json.Int decoded) :: ("seq", Json.Int seq) :: extra))
+      in
+      match Session.apply_chunk s ~seq data with
+      | `Applied decoded -> ack decoded []
+      | `Duplicate decoded ->
+        Obs.Metric.incr t.cells.client_retries;
+        ack decoded dup
+      | `Gap expected -> gap expected
+    end
+    | Protocol.Flush_seq { seq }, Some s -> begin
+      let ack extra =
+        Protocol.Ok (with_fields (("seq", Json.Int seq) :: extra) (Session.status s))
+      in
+      match Session.apply_flush s ~seq with
+      | `Applied ->
+        if t.store <> None then Obs.Metric.incr t.cells.snapshots_written;
+        ack []
+      | `Duplicate ->
+        Obs.Metric.incr t.cells.client_retries;
+        ack dup
+      | `Gap expected -> gap expected
+    end
+    | Protocol.Status, Some s -> Protocol.Ok (Session.status s)
 
   let handle t conn frame =
     Obs.Metric.incr t.cells.frames;
     Obs.Span.with_span (Obs.Run.spans t.obs)
       ("serve/" ^ Protocol.frame_name frame)
-      (fun () ->
-        match frame with
-        | Protocol.Hello app | Protocol.Hello_v { app; _ } -> begin
-          let version =
-            match frame with
-            | Protocol.Hello_v { version; _ } -> min (max version 1) Protocol.version
-            | _ -> 1
-          in
-          conn.version <- version;
-          match bind_session t conn app with
-          | `Ok s ->
-            let extra =
-              match frame with
-              | Protocol.Hello_v _ -> [ ("version", Json.Int version) ]
-              | _ -> []
-            in
-            (Protocol.Ok (with_fields extra (Session.status s)), `Keep)
-          | `Overloaded ->
-            Obs.Metric.incr t.cells.connections_shed;
-            (Protocol.Error "overloaded", `Keep)
-          | `Unknown -> (Protocol.Error (Printf.sprintf "unknown app %S" app), `Keep)
-        end
-        | Protocol.Chunk data -> begin
-          match conn.session with
-          | None -> (Protocol.Error "chunk before hello", `Keep)
-          | Some s ->
-            let decoded = Session.feed s data in
-            (Protocol.Ok (Json.Obj [ ("decoded", Json.Int decoded) ]), `Keep)
-        end
-        | Protocol.Chunk_seq { seq; data } -> begin
-          match conn.session with
-          | None -> (Protocol.Error "chunk before hello", `Keep)
-          | Some s -> begin
-            match Session.apply_chunk s ~seq data with
-            | `Applied decoded ->
-              ( Protocol.Ok (Json.Obj [ ("decoded", Json.Int decoded); ("seq", Json.Int seq) ]),
-                `Keep )
-            | `Duplicate decoded ->
-              Obs.Metric.incr t.cells.client_retries;
-              ( Protocol.Ok
-                  (Json.Obj
-                     [
-                       ("decoded", Json.Int decoded);
-                       ("seq", Json.Int seq);
-                       ("dup", Json.Bool true);
-                     ]),
-                `Keep )
-            | `Gap expected ->
-              (Protocol.Error (Printf.sprintf "gap: expected seq %d" expected), `Keep)
-          end
-        end
-        | Protocol.Flush -> begin
-          match conn.session with
-          | None -> (Protocol.Error "flush before hello", `Keep)
-          | Some s ->
-            Session.flush s;
-            if t.store <> None then Obs.Metric.incr t.cells.snapshots_written;
-            (Protocol.Ok (Session.status s), `Keep)
-        end
-        | Protocol.Flush_seq { seq } -> begin
-          match conn.session with
-          | None -> (Protocol.Error "flush before hello", `Keep)
-          | Some s -> begin
-            match Session.apply_flush s ~seq with
-            | `Applied ->
-              if t.store <> None then Obs.Metric.incr t.cells.snapshots_written;
-              (Protocol.Ok (with_fields [ ("seq", Json.Int seq) ] (Session.status s)), `Keep)
-            | `Duplicate ->
-              Obs.Metric.incr t.cells.client_retries;
-              ( Protocol.Ok
-                  (with_fields
-                     [ ("seq", Json.Int seq); ("dup", Json.Bool true) ]
-                     (Session.status s)),
-                `Keep )
-            | `Gap expected ->
-              (Protocol.Error (Printf.sprintf "gap: expected seq %d" expected), `Keep)
-          end
-        end
-        | Protocol.Status -> begin
-          match conn.session with
-          | None -> (Protocol.Error "status before hello", `Keep)
-          | Some s -> (Protocol.Ok (Session.status s), `Keep)
-        end
-        | Protocol.Bye -> (Protocol.Ok (Json.Obj [ ("bye", Json.Bool true) ]), `Close))
+      (fun () -> (reply t conn frame, match frame with Protocol.Bye -> `Close | _ -> `Keep))
 end
 
 let metrics_body t =

@@ -16,7 +16,7 @@
     durable ({!Snapshot}): flushes write atomic snapshots, in-flight
     chunks are journaled write-ahead, and {!create} recovers every
     session found in the directory — so [kill -9] loses nothing a
-    resumed v2 push can't finish.  SIGTERM is the {e polite} spelling of
+    resumed push can't finish.  SIGTERM is the {e polite} spelling of
     the same contract: drain buffered replies, snapshot every session,
     remove the ready file, return from {!serve_forever}.
 
@@ -87,8 +87,7 @@ val snapshot_all : t -> unit
 (** Write every session's snapshot now (no-op without a store) —
     the graceful-drain persistence step, exposed for tests. *)
 
-(** Per-connection protocol state: which session [Hello] bound and the
-    negotiated protocol version. *)
+(** Per-connection protocol state: which session [Hello] bound. *)
 module Conn : sig
   type conn
 
@@ -97,13 +96,15 @@ module Conn : sig
   val handle : t -> conn -> Protocol.frame -> Protocol.reply * [ `Keep | `Close ]
   (** Pure protocol logic — no sockets — so daemon behaviour is testable
       in-process.  [`Close] is returned for [Bye] (and the reply is
-      still to be written first).  [Hello_v] grants
-      [min (requested, {!Protocol.version})] and echoes it with the
-      session status (which carries [next_seq]); sequenced frames are
-      answered with their [seq] (plus ["dup": true] on replays, which
-      also count into [ripple_serve_client_retries]); out-of-order
-      frames get [Error "gap: expected seq N"]; registrations over
-      [max_sessions] get [Error "overloaded"]. *)
+      still to be written first).  [Hello_v] grants {!Protocol.version}
+      to any request at or above it and echoes it with the session
+      status (which carries [next_seq]); an older request gets
+      [Error "unsupported protocol version N"] and binds nothing.
+      Sequenced frames are answered with their [seq] (plus
+      ["dup": true] on replays, which also count into
+      [ripple_serve_client_retries]); out-of-order frames get
+      [Error "gap: expected seq N"]; registrations over [max_sessions]
+      get [Error "overloaded"]. *)
 end
 
 val metrics_body : t -> string

@@ -461,6 +461,121 @@ let test_immediate_sigterm () =
         checkb (Printf.sprintf "stop %d: ready file withdrawn" i) false (Sys.file_exists ready)
       done)
 
+(* A frame with an arbitrary tag, bypassing {!Protocol.write_frame}. *)
+let raw_frame tag payload =
+  let n = String.length payload in
+  let b = Buffer.create (5 + n) in
+  Buffer.add_char b tag;
+  List.iter (fun shift -> Buffer.add_char b (Char.chr ((n lsr shift) land 0xFF))) [ 24; 16; 8; 0 ];
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+(* Send [wire] on a fresh connection and read replies to end of stream.
+   A daemon that keeps the connection open times the read out, which
+   fails the test. *)
+let replies_until_close ~port wire =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      ignore (Unix.write_substring fd wire 0 (String.length wire) : int);
+      let reader = Protocol.Reader.create () in
+      let buf = Bytes.create 4096 in
+      let rec go acc =
+        match Protocol.Reader.pop_reply reader with
+        | `Reply r -> go (r :: acc)
+        | `Corrupt msg -> Alcotest.failf "corrupt reply stream: %s" msg
+        | `Awaiting -> begin
+          match Unix.read fd buf 0 (Bytes.length buf) with
+          | 0 -> List.rev acc
+          | k ->
+            Protocol.Reader.add reader buf k;
+            go acc
+          | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> List.rev acc
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            Alcotest.fail "daemon left the connection open"
+        end
+      in
+      go [])
+
+(* Protocol version 1's unsequenced chunk ('C') and flush ('F') frames
+   are gone: over a real socket, each must be answered with an error and
+   the connection closed, while the session it arrives on keeps its
+   sequence horizon and profile exactly. *)
+let test_legacy_frames_rejected () =
+  let program, data = Lazy.force clean_capture in
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let port = free_port () in
+      let ready = Filename.concat dir "ready" in
+      let daemon =
+        spawn_daemon
+          {
+            Server.default_config with
+            Server.options = serve_options;
+            port;
+            ready_file = Some ready;
+            lookup = (fun _ -> Some program);
+          }
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.kill daemon Sys.sigkill;
+          ignore (Unix.waitpid [] daemon))
+        (fun () ->
+          if not (wait_for (fun () -> Sys.file_exists ready && (Unix.stat ready).Unix.st_size > 0))
+          then Alcotest.fail "daemon never became ready";
+          let ok label = function
+            | Protocol.Ok json -> json
+            | Protocol.Error msg -> Alcotest.failf "%s: %s" label msg
+          in
+          (* A closed generation plus a capture in flight, so a stray
+             chunk or flush would visibly move the session. *)
+          let chunks = chunks_of data in
+          let n = List.length chunks in
+          let c = Client.connect ~timeout:10.0 ~host:"127.0.0.1" ~port () in
+          let send label frame = ignore (ok label (Client.request c frame) : Json.t) in
+          send "hello" (Protocol.Hello_v { app = "kafka"; version = 2 });
+          List.iteri (fun i d -> send "chunk" (Protocol.Chunk_seq { seq = i; data = d })) chunks;
+          send "flush" (Protocol.Flush_seq { seq = n });
+          send "chunk 2" (Protocol.Chunk_seq { seq = n + 1; data = List.hd chunks });
+          Client.close c;
+          let horizon () =
+            let c = Client.connect ~timeout:10.0 ~host:"127.0.0.1" ~port () in
+            Fun.protect
+              ~finally:(fun () -> Client.close c)
+              (fun () ->
+                ignore (ok "attach" (Client.request c (Protocol.Hello "kafka")) : Json.t);
+                let s = ok "status" (Client.request c Protocol.Status) in
+                Json.to_string
+                  (Json.Obj
+                     (List.filter_map
+                        (fun k -> Option.map (fun v -> (k, v)) (Json.member k s))
+                        [ "next_seq"; "profile_fnv" ])))
+          in
+          let before = horizon () in
+          let hello =
+            let b = Buffer.create 16 in
+            Protocol.write_frame b (Protocol.Hello "kafka");
+            Buffer.contents b
+          in
+          List.iter
+            (fun (label, legacy) ->
+              match replies_until_close ~port (hello ^ legacy) with
+              | [ Protocol.Ok _; Protocol.Error _ ] -> ()
+              | rs ->
+                Alcotest.failf "%s: expected hello ok then one error, got %d replies" label
+                  (List.length rs))
+            [
+              ("legacy chunk", raw_frame 'C' (Bytes.to_string (List.nth chunks 1)));
+              ("legacy flush", raw_frame 'F' "");
+            ];
+          Alcotest.(check string) "legacy frames left the session untouched" before (horizon ())))
+
 let () =
   Alcotest.run "ripple-recover"
     [
@@ -470,5 +585,6 @@ let () =
           Alcotest.test_case "kill -9 twice then recover" `Slow test_double_kill9_recover;
           Alcotest.test_case "state loss mid-push rebases" `Slow test_state_loss_rebase;
           Alcotest.test_case "SIGTERM right after ready exits 0" `Slow test_immediate_sigterm;
+          Alcotest.test_case "legacy C/F frames rejected" `Slow test_legacy_frames_rejected;
         ] );
     ]

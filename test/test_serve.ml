@@ -133,10 +133,10 @@ let test_protocol_roundtrip () =
   let frames =
     [
       Protocol.Hello "cassandra";
-      Protocol.Chunk (Bytes.of_string "\x00\x01\x02\xff");
-      Protocol.Flush;
+      Protocol.Chunk_seq { seq = 0; data = Bytes.of_string "\x00\x01\x02\xff" };
+      Protocol.Flush_seq { seq = 1 };
       Protocol.Status;
-      Protocol.Chunk Bytes.empty;
+      Protocol.Chunk_seq { seq = 2; data = Bytes.empty };
       Protocol.Bye;
     ]
   in
@@ -166,7 +166,10 @@ let test_protocol_roundtrip () =
     (fun sent got ->
       checks "frame kind" (Protocol.frame_name sent) (Protocol.frame_name got);
       match (sent, got) with
-      | Protocol.Chunk a, Protocol.Chunk b -> checkb "chunk payload" true (Bytes.equal a b)
+      | Protocol.Chunk_seq { seq = s1; data = a }, Protocol.Chunk_seq { seq = s2; data = b } ->
+        checki "chunk seq" s1 s2;
+        checkb "chunk payload" true (Bytes.equal a b)
+      | Protocol.Flush_seq { seq = s1 }, Protocol.Flush_seq { seq = s2 } -> checki "flush seq" s1 s2
       | Protocol.Hello a, Protocol.Hello b -> checks "hello payload" a b
       | _ -> ())
     frames (List.rev !got)
@@ -178,6 +181,17 @@ let test_protocol_corrupt () =
   (match Protocol.Reader.pop_frame reader with
   | `Corrupt _ -> ()
   | `Awaiting | `Frame _ -> Alcotest.fail "unknown tag must be corrupt");
+  (* The unsequenced chunk and flush tags of protocol version 1 are
+     unknown tags now, however well-formed the frame. *)
+  List.iter
+    (fun legacy ->
+      let reader = Protocol.Reader.create () in
+      let raw = Bytes.of_string legacy in
+      Protocol.Reader.add reader raw (Bytes.length raw);
+      match Protocol.Reader.pop_frame reader with
+      | `Corrupt _ -> ()
+      | `Awaiting | `Frame _ -> Alcotest.failf "legacy tag %C must be corrupt" legacy.[0])
+    [ "C\x00\x00\x00\x02ab"; "F\x00\x00\x00\x00" ];
   let reader = Protocol.Reader.create () in
   (* Length prefix far beyond the cap: rejected before buffering. *)
   let oversized = Bytes.of_string "C\x7f\xff\xff\xff" in
@@ -257,15 +271,26 @@ let serve_options =
     prefetch = Core.Pipeline.No_prefetch;
   }
 
+(* Apply a chunk / the flush at the session's own sequence horizon. *)
+let feed s chunk =
+  match Session.apply_chunk s ~seq:(Session.next_seq s) chunk with
+  | `Applied decoded -> decoded
+  | `Duplicate _ | `Gap _ -> Alcotest.fail "chunk at the horizon must apply"
+
+let flush s =
+  match Session.apply_flush s ~seq:(Session.next_seq s) with
+  | `Applied -> ()
+  | `Duplicate | `Gap _ -> Alcotest.fail "flush at the horizon must apply"
+
 let push_capture ?(chunk = 1500) session data =
   let len = Bytes.length data in
   let pos = ref 0 in
   while !pos < len do
     let n = min chunk (len - !pos) in
-    ignore (Session.feed session (Bytes.sub data !pos n) : int);
+    ignore (feed session (Bytes.sub data !pos n) : int);
     pos := !pos + n
   done;
-  Session.flush session
+  flush session
 
 (* The drift-gated ladder over a live session: trust is earned by a
    clean flush, stepped down as corrupted captures take over the
@@ -328,13 +353,13 @@ let test_session_reemit_mid_capture () =
   let pos = ref 0 in
   while !pos < len do
     let n = min 512 (len - !pos) in
-    ignore (Session.feed s (Bytes.sub data !pos n) : int);
+    ignore (feed s (Bytes.sub data !pos n) : int);
     pos := !pos + n
   done;
   checkb "re-emitted before any flush" true (Session.emissions s > 1);
   checkb "mid-capture clean stream already earns trust" true
     (Session.level s = Core.Pipeline.Degrade.Full);
-  Session.flush s;
+  flush s;
   checkb "flush still lands at full" true (Session.level s = Core.Pipeline.Degrade.Full)
 
 (* ------------------------ daemon, in-process ------------------------- *)
@@ -355,26 +380,39 @@ let expect_ok label = function
   | Protocol.Ok json, disposition -> (json, disposition)
   | Protocol.Error msg, _ -> Alcotest.failf "%s: unexpected error %s" label msg
 
-let expect_error label = function
-  | Protocol.Error _, `Keep -> ()
+let expect_error ?msg label = function
+  | Protocol.Error got, `Keep -> Option.iter (fun want -> checks (label ^ " message") want got) msg
   | Protocol.Error _, `Close -> Alcotest.failf "%s: error should keep the connection" label
   | Protocol.Ok _, _ -> Alcotest.failf "%s: expected an error reply" label
 
 let test_server_frames () =
   let t = mini_server () in
   let conn = Server.Conn.create () in
-  expect_error "chunk before hello" (Server.Conn.handle t conn (Protocol.Chunk (Bytes.create 4)));
-  expect_error "flush before hello" (Server.Conn.handle t conn Protocol.Flush);
+  expect_error ~msg:"chunk before hello" "chunk before hello"
+    (Server.Conn.handle t conn (Protocol.Chunk_seq { seq = 0; data = Bytes.create 4 }));
+  expect_error ~msg:"flush before hello" "flush before hello"
+    (Server.Conn.handle t conn (Protocol.Flush_seq { seq = 0 }));
+  (* A version older than the one this build speaks is refused, not
+     granted: the server no longer has that dialect to offer.  The
+     refusal binds nothing and keeps the connection. *)
+  expect_error ~msg:"unsupported protocol version 1" "hello_v below version"
+    (Server.Conn.handle t conn (Protocol.Hello_v { app = "kafka"; version = 1 }));
+  expect_error ~msg:"status before hello" "refused hello_v binds nothing"
+    (Server.Conn.handle t conn Protocol.Status);
+  checki "refused hello_v registers no session" 0 (List.length (Server.sessions t));
   expect_error "unknown app" (Server.Conn.handle t conn (Protocol.Hello "nope"));
   let json, _ = expect_ok "hello" (Server.Conn.handle t conn (Protocol.Hello "kafka")) in
   checkb "hello returns status for the app" true
     (Json.member "app" json = Some (Json.String "kafka"));
+  checkb "plain hello negotiates no version" true (Json.member "version" json = None);
   let _, data = Lazy.force clean_capture in
-  let json, _ = expect_ok "chunk" (Server.Conn.handle t conn (Protocol.Chunk data)) in
+  let json, _ =
+    expect_ok "chunk" (Server.Conn.handle t conn (Protocol.Chunk_seq { seq = 0; data }))
+  in
   (match Json.member "decoded" json with
   | Some (Json.Int n) -> checkb "chunk reports decoded blocks" true (n > 0)
   | _ -> Alcotest.fail "chunk reply lacks decoded count");
-  let json, _ = expect_ok "flush" (Server.Conn.handle t conn Protocol.Flush) in
+  let json, _ = expect_ok "flush" (Server.Conn.handle t conn (Protocol.Flush_seq { seq = 1 })) in
   checkb "flush reports a generation" true (Json.member "generations" json = Some (Json.Int 1));
   let _, disposition = expect_ok "bye" (Server.Conn.handle t conn Protocol.Bye) in
   checkb "bye closes" true (disposition = `Close)
@@ -388,13 +426,16 @@ let test_server_two_sessions () =
   checki "two sessions registered" 2 (List.length (Server.sessions t));
   (* Interleave the two apps on the same daemon. *)
   let half = Bytes.length data / 2 in
-  ignore (expect_ok "a chunk" (Server.Conn.handle t a (Protocol.Chunk (Bytes.sub data 0 half))));
-  ignore (expect_ok "b chunk" (Server.Conn.handle t b (Protocol.Chunk data)));
+  ignore
+    (expect_ok "a chunk"
+       (Server.Conn.handle t a (Protocol.Chunk_seq { seq = 0; data = Bytes.sub data 0 half })));
+  ignore (expect_ok "b chunk" (Server.Conn.handle t b (Protocol.Chunk_seq { seq = 0; data })));
   ignore
     (expect_ok "a chunk 2"
-       (Server.Conn.handle t a (Protocol.Chunk (Bytes.sub data half (Bytes.length data - half)))));
-  ignore (expect_ok "a flush" (Server.Conn.handle t a Protocol.Flush));
-  ignore (expect_ok "b flush" (Server.Conn.handle t b Protocol.Flush));
+       (Server.Conn.handle t a
+          (Protocol.Chunk_seq { seq = 1; data = Bytes.sub data half (Bytes.length data - half) })));
+  ignore (expect_ok "a flush" (Server.Conn.handle t a (Protocol.Flush_seq { seq = 2 })));
+  ignore (expect_ok "b flush" (Server.Conn.handle t b (Protocol.Flush_seq { seq = 1 })));
   List.iter
     (fun name ->
       match Server.find_session t name with
@@ -415,8 +456,8 @@ let test_server_scrape_schema () =
   let conn = Server.Conn.create () in
   let _, data = Lazy.force clean_capture in
   ignore (expect_ok "hello" (Server.Conn.handle t conn (Protocol.Hello "kafka")));
-  ignore (expect_ok "chunk" (Server.Conn.handle t conn (Protocol.Chunk data)));
-  ignore (expect_ok "flush" (Server.Conn.handle t conn Protocol.Flush));
+  ignore (expect_ok "chunk" (Server.Conn.handle t conn (Protocol.Chunk_seq { seq = 0; data })));
+  ignore (expect_ok "flush" (Server.Conn.handle t conn (Protocol.Flush_seq { seq = 1 })));
   let type_lines =
     List.filter_map
       (fun line ->
@@ -576,13 +617,10 @@ let frames_equal a b =
   | ( Protocol.Hello_v { app = a1; version = v1 },
       Protocol.Hello_v { app = a2; version = v2 } ) ->
     a1 = a2 && v1 = v2
-  | Protocol.Chunk x, Protocol.Chunk y -> Bytes.equal x y
   | ( Protocol.Chunk_seq { seq = s1; data = d1 },
       Protocol.Chunk_seq { seq = s2; data = d2 } ) ->
     s1 = s2 && Bytes.equal d1 d2
-  | Protocol.Flush, Protocol.Flush | Protocol.Status, Protocol.Status | Protocol.Bye, Protocol.Bye
-    ->
-    true
+  | Protocol.Status, Protocol.Status | Protocol.Bye, Protocol.Bye -> true
   | Protocol.Flush_seq { seq = s1 }, Protocol.Flush_seq { seq = s2 } -> s1 = s2
   | _ -> false
 
