@@ -891,12 +891,30 @@ let micro () =
   (* Bechamel microbenchmarks of the simulator hot paths. *)
   let open Bechamel in
   let model = W.Apps.kafka in
-  let { workload; eval; _ } = workload_of model in
+  let { workload; train; eval; _ } = workload_of model in
   let program = workload.W.Cfg_gen.program in
   let short = Array.sub eval 0 (min 20_000 (Array.length eval)) in
   let stream =
     Cpu.Simulator.record_stream ~program ~trace:short
       ~prefetcher:Cpu.Simulator.prefetcher_none ()
+  in
+  (* Cue selection's inputs, prepared once: the ideal eviction windows
+     of a profile prefix and its per-block execution counts. *)
+  let profile = Array.sub train 0 (min 20_000 (Array.length train)) in
+  let profile_stream =
+    Cpu.Simulator.record_stream ~program ~trace:profile
+      ~prefetcher:Cpu.Simulator.prefetcher_none ()
+  in
+  let windows =
+    Core.Eviction_window.of_evictions
+      (Cache.Belady.simulate Cache.Geometry.l1i ~mode:Cache.Belady.Min profile_stream)
+        .Cache.Belady.evictions
+  in
+  let exec_counts = Ripple_trace.Bb_trace.exec_counts program profile in
+  let cue_select () =
+    ignore
+      (Core.Cue_block.analyze_report ~stream:profile_stream ~windows ~exec_counts
+         ~threshold:Core.Pipeline.Options.default.Core.Pipeline.Options.threshold ())
   in
   let cache_access () =
     let cache =
@@ -918,6 +936,7 @@ let micro () =
       [
         Test.make ~name:"l1i-lru-access-stream" (Staged.stage cache_access);
         Test.make ~name:"belady-min-replay" (Staged.stage belady_replay);
+        Test.make ~name:"cue-select" (Staged.stage cue_select);
         Test.make ~name:"pt-encode-decode" (Staged.stage pt_roundtrip);
       ]
   in

@@ -11,8 +11,9 @@
     Streams are immutable once built, O(1) randomly addressable
     ({!get}), and re-iterable: offline consumers that need several
     passes ({!Belady.simulate}'s backward next-use pass then forward
-    replay, the cue-block analysis' two window walks) iterate the same
-    stream repeatedly, or hold a {!Cursor} and {!Cursor.rewind} it.
+    replay, then the cue-block analysis' window walks over the same
+    stream) iterate it repeatedly, or hold a {!Cursor} and
+    {!Cursor.rewind} it.
     Iteration order is always stream order, so every pass over the same
     stream observes the identical access sequence — the determinism
     contract of DESIGN.md is carried by construction.

@@ -6,15 +6,22 @@
 
     {v P(evict V | exec B) = windows of V containing B / executions of B v}
 
-    The window's cue block is the candidate with the highest probability
-    (ties broken arbitrarily); an invalidation is injected only when that
-    probability clears the invalidation threshold (§III-C).
+    The window's cue block is the candidate with the highest probability;
+    a tie goes to the candidate the window walk visits first — walking
+    forward from the victim's last use, then backward from the eviction.
+    An invalidation is injected only when that probability clears the
+    invalidation threshold (§III-C).
 
     Window walks are bounded by [scan_limit] distinct candidate blocks
-    and [step_limit] stream entries per window: candidates that signal an
+    and 4096 stream entries per window: candidates that signal an
     eviction reliably execute close to the eviction point, and the bound
     keeps the analysis linear in the trace — the same engineering the
-    paper's "up to 10 minutes" offline analysis implies. *)
+    paper's "up to 10 minutes" offline analysis implies.
+
+    Cost: every window is walked exactly once.  Windows are grouped by
+    victim, so one victim's window counts live in a dense per-block
+    counter while its windows are scored; scratch is O(blocks + windows)
+    words, with no per-candidate allocation. *)
 
 module Addr := Ripple_isa.Addr
 module Access_stream := Ripple_cache.Access_stream
@@ -27,7 +34,6 @@ type decision = {
 }
 
 val default_scan_limit : int
-val default_step_limit : int
 
 val default_min_support : int
 (** Minimum eviction windows a (cue, victim) pair must cover to be worth
@@ -49,7 +55,6 @@ type drops = {
 
 val analyze_report :
   ?scan_limit:int ->
-  ?step_limit:int ->
   ?min_support:int ->
   stream:Access_stream.t ->
   windows:Eviction_window.t array ->
@@ -61,7 +66,6 @@ val analyze_report :
 
 val analyze :
   ?scan_limit:int ->
-  ?step_limit:int ->
   ?min_support:int ->
   stream:Access_stream.t ->
   windows:Eviction_window.t array ->

@@ -5,6 +5,7 @@ module Basic_block = Ripple_isa.Basic_block
 module Program = Ripple_isa.Program
 module Builder = Ripple_isa.Builder
 module Access = Ripple_cache.Access
+module Access_stream = Ripple_cache.Access_stream
 module Belady = Ripple_cache.Belady
 module Cache = Ripple_cache
 module Simulator = Ripple_cpu.Simulator
@@ -14,6 +15,7 @@ module Cue_block = Ripple_core.Cue_block
 module Injector = Ripple_core.Injector
 module Pipeline = Ripple_core.Pipeline
 module W = Ripple_workloads
+module Prng = Ripple_util.Prng
 
 let check = Alcotest.check
 let checki = check Alcotest.int
@@ -146,6 +148,185 @@ let test_cue_empty_inputs () =
   checki "no windows, no decisions" 0
     (List.length
        (Cue_block.analyze ~stream:Ripple_cache.Access_stream.empty ~windows:[||] ~exec_counts:[| 0 |] ~threshold:0.5 ()))
+
+(* -------------------- Cue selection against its history -------------------- *)
+
+(* The two-pass selector that preceded victim grouping, reproduced
+   verbatim (modulo record qualification): every window walked twice,
+   a [seen] table cleared per window and (victim, block) window counts
+   in a hash table.  The grouped selector must return the same decision
+   list, in the same order, and the same drop record. *)
+module Two_pass = struct
+  let walk_window ~scan_limit ~step_limit (stream : Access_stream.t) (w : Eviction_window.t)
+      ~seen f =
+    Hashtbl.reset seen;
+    let visit (acc : Access.packed) =
+      if Access.packed_is_demand acc then begin
+        let block = Access.packed_block acc in
+        if not (Hashtbl.mem seen block) then begin
+          Hashtbl.add seen block ();
+          f block
+        end
+      end
+    in
+    let half_scan = max 1 (scan_limit / 2) and half_step = max 1 (step_limit / 2) in
+    let start = w.Eviction_window.start and stop = w.Eviction_window.stop in
+    let steps = ref 0 in
+    let i = ref (start + 1) in
+    while !i <= stop && !steps < half_step && Hashtbl.length seen < half_scan do
+      visit (Access_stream.get stream !i);
+      incr steps;
+      incr i
+    done;
+    let fwd_end = !i in
+    steps := 0;
+    let j = ref stop in
+    while !j >= fwd_end && !steps < half_step && Hashtbl.length seen < scan_limit do
+      visit (Access_stream.get stream !j);
+      incr steps;
+      decr j
+    done
+
+  let pack ~victim ~block = (victim lsl 22) lor block
+
+  let analyze_report ?(scan_limit = 48) ?(step_limit = 4096) ?(min_support = 3) ~stream
+      ~windows ~exec_counts ~threshold () =
+    let window_counts = Hashtbl.create (4 * Array.length windows) in
+    let seen = Hashtbl.create 64 in
+    Array.iter
+      (fun (w : Eviction_window.t) ->
+        walk_window ~scan_limit ~step_limit stream w ~seen (fun block ->
+            let key = pack ~victim:w.Eviction_window.victim ~block in
+            match Hashtbl.find_opt window_counts key with
+            | Some n -> Hashtbl.replace window_counts key (n + 1)
+            | None -> Hashtbl.add window_counts key 1))
+      windows;
+    let chosen = Hashtbl.create 4096 in
+    let no_candidate = ref 0 and below_support = ref 0 and below_threshold = ref 0 in
+    let selected = ref 0 in
+    Array.iter
+      (fun (w : Eviction_window.t) ->
+        let victim = w.Eviction_window.victim in
+        let best_block = ref (-1) and best_p = ref (-1.0) in
+        walk_window ~scan_limit ~step_limit stream w ~seen (fun block ->
+            let execs = exec_counts.(block) in
+            if execs > 0 then begin
+              let count = try Hashtbl.find window_counts (pack ~victim ~block) with Not_found -> 0 in
+              let p = Float.of_int count /. Float.of_int execs in
+              if p > !best_p then begin
+                best_p := p;
+                best_block := block
+              end
+            end);
+        if !best_block < 0 then incr no_candidate
+        else if
+          (try Hashtbl.find window_counts (pack ~victim ~block:!best_block) with Not_found -> 0)
+          < min_support
+        then incr below_support
+        else if !best_p < threshold then incr below_threshold
+        else begin
+          incr selected;
+          let key = pack ~victim ~block:!best_block in
+          match Hashtbl.find_opt chosen key with
+          | Some (block, victim, p, n) -> Hashtbl.replace chosen key (block, victim, p, n + 1)
+          | None -> Hashtbl.add chosen key (!best_block, victim, !best_p, 1)
+        end)
+      windows;
+    let decisions =
+      Hashtbl.fold
+        (fun _ (cue_block, victim, probability, windows) acc ->
+          { Cue_block.cue_block; victim; probability; windows } :: acc)
+        chosen []
+    in
+    ( decisions,
+      {
+        Cue_block.windows_total = Array.length windows;
+        no_candidate = !no_candidate;
+        below_support = !below_support;
+        below_threshold = !below_threshold;
+        selected = !selected;
+      } )
+end
+
+(* One generated cue-selection input.  The stream is a run of segments,
+   each drawing its demand blocks from the whole block range or from a
+   narrow one (so a long window can outlast the step bound without
+   reaching the scan bound) and mixing in prefetch entries.  Execution
+   counts are the stream's, with some blocks forced to zero and some
+   raised, so small-ratio probability ties are common.  A handful of
+   victims share the windows, so one victim's windows sit among
+   others'; about one window in ten is longer than the step bound.
+   About a third of the cases instead spread thousands of short windows
+   over many victims and blocks with small execution counts: hundreds
+   of distinct decisions, enough to share buckets of the decision
+   table, whose fold order then depends on the order it was filled in.
+   Seeds divisible by 11 give an empty stream and no windows, seeds
+   divisible by 7 windows over a stream but none in the array. *)
+let gen_cue_case seed =
+  let rng = Prng.create ~seed in
+  let pick a = a.(Prng.int rng (Array.length a)) in
+  let scan_limit = pick [| 1; 2; 5; 8; 48; 200 |] in
+  let min_support = pick [| 0; 1; 2; 3; 4 |] in
+  let threshold = pick [| 0.0; 1.0 /. 3.0; 0.5; 0.6; 1.0; 1.5 |] in
+  let many = Prng.chance rng 0.35 in
+  let n_blocks = 4 + Prng.int rng (if many then 400 else 60) in
+  if seed mod 11 = 0 then
+    (Access_stream.empty, [||], Array.make n_blocks 0, scan_limit, min_support, threshold)
+  else begin
+    let len = if Prng.chance rng 0.5 then 9_000 + Prng.int rng 3_000 else 300 + Prng.int rng 1_500 in
+    let stream = Array.make len (Access.demand ~line:0 ~block:0) in
+    let i = ref 0 in
+    while !i < len do
+      let seg = 1 + Prng.int rng (if Prng.chance rng 0.2 then 3_000 else 100) in
+      let base = Prng.int rng n_blocks in
+      let width = if Prng.bool rng then n_blocks else 1 + Prng.int rng 3 in
+      let prefetch_rate = pick [| 0.0; 0.2; 0.6 |] in
+      for k = !i to min len (!i + seg) - 1 do
+        let block = (base + Prng.int rng width) mod n_blocks and line = Prng.int rng 200 in
+        stream.(k) <-
+          (if Prng.chance rng prefetch_rate then Access.prefetch ~line ~block
+           else Access.demand ~line ~block)
+      done;
+      i := !i + seg
+    done;
+    let exec_counts = Array.make n_blocks 0 in
+    if many then Array.iteri (fun b _ -> exec_counts.(b) <- Prng.int rng 5) exec_counts
+    else begin
+      Array.iter
+        (fun (a : Access.t) ->
+          if Access.is_demand a then
+            exec_counts.(a.Access.block) <- exec_counts.(a.Access.block) + 1)
+        stream;
+      Array.iteri
+        (fun b n ->
+          if Prng.chance rng 0.15 then exec_counts.(b) <- 0
+          else if Prng.chance rng 0.2 then exec_counts.(b) <- n + Prng.int rng 3)
+        exec_counts
+    end;
+    let n_victims = 1 + Prng.int rng (if many then 64 else 8) in
+    let n_windows =
+      if seed mod 7 = 0 then 0 else if many then 500 + Prng.int rng 1_500 else Prng.int rng 200
+    in
+    let windows =
+      Array.init n_windows (fun _ ->
+          let span =
+            if Prng.chance rng 0.1 && len > 4_200 then 4_097 + Prng.int rng (len - 4_097)
+            else Prng.int rng (min 80 len)
+          in
+          let start = Prng.int rng (len - span) in
+          { Eviction_window.victim = 1_000 + Prng.int rng n_victims; start; stop = start + span })
+    in
+    (Access_stream.of_array stream, windows, exec_counts, scan_limit, min_support, threshold)
+  end
+
+let cue_select_matches_two_pass =
+  QCheck.Test.make ~count:60
+    ~name:"grouped cue selection equals the two-pass selector (decisions in order, drops)"
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let stream, windows, exec_counts, scan_limit, min_support, threshold = gen_cue_case seed in
+      Cue_block.analyze_report ~scan_limit ~min_support ~stream ~windows ~exec_counts ~threshold ()
+      = Two_pass.analyze_report ~scan_limit ~min_support ~stream ~windows ~exec_counts ~threshold ())
 
 (* ------------------------------ Injector ---------------------------- *)
 
@@ -339,6 +520,7 @@ let suites =
         Alcotest.test_case "min support filters" `Quick test_cue_min_support_filters;
         Alcotest.test_case "probability values" `Quick test_cue_conditional_probability_values;
         Alcotest.test_case "empty inputs" `Quick test_cue_empty_inputs;
+        QCheck_alcotest.to_alcotest cue_select_matches_two_pass;
       ] );
     ( "core.injector",
       [
