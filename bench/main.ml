@@ -927,6 +927,25 @@ let micro () =
   let belady_replay () =
     ignore (Cache.Belady.simulate Cache.Geometry.l1i ~mode:Cache.Belady.Min stream)
   in
+  (* The front end's share of a policy cell: one LRU run of the prefix
+     under FDIP, live and replayed from its recorded stream. *)
+  let short_trace = Cpu.Simulator.Trace.Blocks short in
+  let fdip_stream, fdip_pos =
+    Cpu.Simulator.record_stream_indexed ~program ~trace:short
+      ~prefetcher:(fun p -> Cpu.Simulator.prefetcher_fdip p)
+      ()
+  in
+  let simulate_fdip () =
+    ignore
+      (Cpu.Simulator.run_trace ~program ~trace:short_trace ~policy:Cache.Lru.make
+         ~prefetcher:(fun p -> Cpu.Simulator.prefetcher_fdip p)
+         ())
+  in
+  let policy_replay () =
+    ignore
+      (Cpu.Simulator.replay ~program ~trace:short_trace ~policy:Cache.Lru.make
+         ~stream:fdip_stream ~pos:(Array.get fdip_pos) ())
+  in
   let pt_roundtrip () =
     let encoded = Ripple_trace.Pt.encode program short in
     ignore (Ripple_trace.Pt.decode program encoded)
@@ -937,6 +956,8 @@ let micro () =
         Test.make ~name:"l1i-lru-access-stream" (Staged.stage cache_access);
         Test.make ~name:"belady-min-replay" (Staged.stage belady_replay);
         Test.make ~name:"cue-select" (Staged.stage cue_select);
+        Test.make ~name:"simulate-fdip" (Staged.stage simulate_fdip);
+        Test.make ~name:"policy-replay" (Staged.stage policy_replay);
         Test.make ~name:"pt-encode-decode" (Staged.stage pt_roundtrip);
       ]
   in

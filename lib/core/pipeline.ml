@@ -408,8 +408,6 @@ let eval_core ?obs ?(backing = Access_stream.Heap) ?sampling ~(config : Config.t
       (Eviction_window.of_evictions replay.Belady.evictions)
       ~pos:(Int_stream.get stream_pos)
   in
-  Access_stream.close stream;
-  Int_stream.close stream_pos;
   let index = Eviction_window.Index.create windows in
   let hint_execs = ref 0 in
   let accurate = ref 0 in
@@ -423,11 +421,20 @@ let eval_core ?obs ?(backing = Access_stream.Heap) ?sampling ~(config : Config.t
       if (not resident) || Eviction_window.Index.mem index ~line ~at then incr accurate
     end
   in
+  (* The timing run is offered the stream just recorded: the pipeline
+     prefetchers never read hit/miss outcomes, so it is the stream the
+     front end issues under [policy] and the hints too. *)
   let result, sample =
-    Simulator.run_trace ~config ~warmup ?obs ~on_hint ?sampling ~program:instrumented ~trace
-      ~policy
-      ~prefetcher:(prefetcher_of ~config prefetch)
-      ()
+    Fun.protect
+      ~finally:(fun () ->
+        Access_stream.close stream;
+        Int_stream.close stream_pos)
+      (fun () ->
+        Simulator.run_trace ~config ~warmup ?obs ~on_hint ?sampling
+          ~recorded:(fun () -> (stream, Int_stream.get stream_pos))
+          ~program:instrumented ~trace ~policy
+          ~prefetcher:(prefetcher_of ~config prefetch)
+          ())
   in
   let accuracy =
     if !hint_execs = 0 then 1.0 else Float.of_int !accurate /. Float.of_int !hint_execs

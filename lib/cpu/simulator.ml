@@ -223,6 +223,61 @@ let block_lines program =
     (fun b -> Array.of_list (Basic_block.lines b))
     (Program.blocks program)
 
+(* The live front end, shared by the timing run and the stream recorder.
+   [step ~at id] fetches block [id] at trace index [at]: it completes the
+   prefetches due now, issues the prefetcher's [on_block] requests, then
+   makes the block's demand fetches, feeding each one's miss outcome to
+   [on_demand].  [access ~at acc] performs one access (prefetch or
+   demand) and says whether a demand missed.  [save] checkpoints the
+   prefetcher and the in-flight queue; the thunk restores both. *)
+let front_end ~(config : Config.t) ~program ~prefetcher
+    ~(access : at:int -> Access.packed -> bool) =
+  let pf = prefetcher program in
+  let lines = block_lines program in
+  let blocks = Program.blocks program in
+  (* Issued accesses arrive consed (newest first); completing them in
+     issue order without the [List.rev] copy means recursing to the tail
+     first.  In-flight lists are bounded by the FTQ/issue width, so the
+     recursion depth is small. *)
+  let rec complete_all ~at = function
+    | [] -> ()
+    | acc :: rest ->
+      complete_all ~at rest;
+      ignore (access ~at acc : bool)
+  in
+  (* Prefetches land [prefetch_latency_blocks] blocks after issue (the
+     L2 round trip); slot [at mod slots] holds what completes as block
+     [at] is fetched. *)
+  let delay = max 0 config.Config.prefetch_latency_blocks in
+  let slots = delay + 1 in
+  let in_flight = Array.make slots [] in
+  let rec issue_all ~at = function
+    | [] -> ()
+    | (acc : Access.packed) :: rest ->
+      let slot = (at + delay) mod slots in
+      in_flight.(slot) <- acc :: in_flight.(slot);
+      issue_all ~at rest
+  in
+  let step ~at id =
+    let slot = at mod slots in
+    complete_all ~at in_flight.(slot);
+    in_flight.(slot) <- [];
+    issue_all ~at (pf.Prefetcher.on_block blocks.(id));
+    let bl = lines.(id) in
+    for i = 0 to Array.length bl - 1 do
+      let missed = access ~at (Access.pack_demand ~line:bl.(i) ~block:id) in
+      issue_all ~at (pf.Prefetcher.on_demand ~line:bl.(i) ~missed)
+    done
+  in
+  let save () =
+    let restore_pf = pf.Prefetcher.save () in
+    let in_flight' = Array.copy in_flight in
+    fun () ->
+      restore_pf ();
+      Array.blit in_flight' 0 in_flight 0 slots
+  in
+  (step, save)
+
 let finish ~(config : Config.t) ~instructions ~hint_instructions ~miss_cycles ~l1i ~l2_served
     ~l3_served ~mem_served =
   let original = instructions - hint_instructions in
@@ -245,169 +300,216 @@ let finish ~(config : Config.t) ~instructions ~hint_instructions ~miss_cycles ~l
     served_memory = mem_served;
   }
 
-let run_trace ?(config = Config.default) ?(warmup = 0) ?obs
-    ?(on_hint = fun ~at:_ _ ~resident:_ -> ()) ?sampling ~program ~(trace : Trace.t) ~policy
-    ~prefetcher () =
-  let n = Trace.length trace in
-  let l1 = Cache.create ~geometry:config.Config.l1i ~policy () in
-  let hierarchy = Hierarchy.create config in
-  let pf = prefetcher program in
-  let lines = block_lines program in
-  let blocks = Program.blocks program in
-  let instructions = ref 0 in
-  let hint_instructions = ref 0 in
+(* The timing state both drivers share — L1I, L2/L3 and the measured
+   counters — and the two steps that advance it: {!access} per L1I
+   access, {!end_block} per retired block.  [run_trace] feeds them from
+   a live front end, [replay] from a recorded stream; neither has a copy
+   of the other's semantics. *)
+type engine = {
+  config : Config.t;
+  l1 : Cache.t;
+  hierarchy : Hierarchy.t;
+  blocks : Basic_block.t array;
+  on_hint : at:int -> Basic_block.hint -> resident:bool -> unit;
+  (* Sampled runs silence [on_hint] on uncounted ramp blocks so callers'
+     accuracy counters line up with the measured windows. *)
+  mutable hints_observed : bool;
+  mutable instructions : int;
+  mutable hint_instructions : int;
   (* Penalties are integers; accumulating in an int avoids a boxed-float
      store per miss and converts once at the end.  (Bit-identical to
      float accumulation: every partial sum is far below 2^53.) *)
-  let miss_cycles = ref 0 in
-  let l2_served = ref 0 and l3_served = ref 0 and mem_served = ref 0 in
-  (* Sampled runs silence [on_hint] on uncounted ramp blocks so callers'
-     accuracy counters line up with the measured windows. *)
-  let hints_observed = ref true in
-  let complete_prefetch (acc : Access.packed) =
-    match Cache.access_packed l1 acc with
-    | Cache.Hit -> ()
-    | Cache.Miss -> ignore (Hierarchy.fetch hierarchy (Access.packed_line acc))
-  in
-  (* Issued accesses arrive consed (newest first); completing them in
-     issue order without the [List.rev] copy means recursing to the tail
-     first.  In-flight lists are bounded by the FTQ/issue width, so the
-     recursion depth is small. *)
-  let rec complete_all = function
-    | [] -> ()
-    | acc :: rest ->
-      complete_all rest;
-      complete_prefetch acc
-  in
-  (* Prefetches land [prefetch_latency_blocks] blocks after issue (the
-     L2 round trip); slot [at mod slots] holds what completes as block
-     [at] is fetched. *)
-  let delay = max 0 config.Config.prefetch_latency_blocks in
-  let slots = delay + 1 in
-  let in_flight = Array.make slots [] in
-  let flush_due ~at =
-    let slot = at mod slots in
-    complete_all in_flight.(slot);
-    in_flight.(slot) <- []
-  in
-  let rec issue_all ~at = function
-    | [] -> ()
-    | (acc : Access.packed) :: rest ->
-      let slot = (at + delay) mod slots in
-      in_flight.(slot) <- acc :: in_flight.(slot);
-      issue_all ~at rest
-  in
-  let demand ~block line =
-    match Cache.access_packed l1 (Access.pack_demand ~line ~block) with
-    | Cache.Hit -> false
-    | Cache.Miss ->
-      let served = Hierarchy.fetch hierarchy line in
+  mutable miss_cycles : int;
+  mutable l2_served : int;
+  mutable l3_served : int;
+  mutable mem_served : int;
+}
+
+let engine ~(config : Config.t) ~policy ~on_hint program =
+  {
+    config;
+    l1 = Cache.create ~geometry:config.Config.l1i ~policy ();
+    hierarchy = Hierarchy.create config;
+    blocks = Program.blocks program;
+    on_hint;
+    hints_observed = true;
+    instructions = 0;
+    hint_instructions = 0;
+    miss_cycles = 0;
+    l2_served = 0;
+    l3_served = 0;
+    mem_served = 0;
+  }
+
+(* One L1I access.  A demand miss is charged its exposed penalty and
+   counted by the level that served it; a completed prefetch that misses
+   fetches its line through L2/L3 uncounted.  True on a demand miss. *)
+let access e (acc : Access.packed) =
+  match Cache.access_packed e.l1 acc with
+  | Cache.Hit -> false
+  | Cache.Miss ->
+    let served = Hierarchy.fetch e.hierarchy (Access.packed_line acc) in
+    if Access.packed_is_demand acc then begin
       (match served with
-      | Hierarchy.L2 -> incr l2_served
-      | Hierarchy.L3 -> incr l3_served
-      | Hierarchy.Memory -> incr mem_served);
-      miss_cycles := !miss_cycles + Hierarchy.penalty config served;
+      | Hierarchy.L2 -> e.l2_served <- e.l2_served + 1
+      | Hierarchy.L3 -> e.l3_served <- e.l3_served + 1
+      | Hierarchy.Memory -> e.mem_served <- e.mem_served + 1);
+      e.miss_cycles <- e.miss_cycles + Hierarchy.penalty e.config served;
       true
+    end
+    else false
+
+(* Block [at] (id [id]) retires: its hints run in order, after all of
+   its own accesses and before any access of block [at + 1]. *)
+let end_block e ~at id =
+  let b = e.blocks.(id) in
+  let hints = b.Basic_block.hints in
+  for i = 0 to Array.length hints - 1 do
+    let hint = hints.(i) in
+    let line = Basic_block.hint_line hint in
+    if e.hints_observed then e.on_hint ~at hint ~resident:(Cache.contains e.l1 line);
+    (match hint with
+    | Basic_block.Invalidate line -> Cache.invalidate e.l1 line
+    | Basic_block.Demote line -> Cache.demote e.l1 line);
+    e.hint_instructions <- e.hint_instructions + 1
+  done;
+  e.instructions <- e.instructions + Basic_block.total_instrs b
+
+let reset_counters e =
+  Stats.reset (Cache.stats e.l1);
+  e.miss_cycles <- 0;
+  e.instructions <- 0;
+  e.hint_instructions <- 0;
+  e.l2_served <- 0;
+  e.l3_served <- 0;
+  e.mem_served <- 0
+
+(* Periodic IPC/MPKI samples in *virtual* time (the trace index), so the
+   series is a pure function of the run — identical at any pool size.
+   At most ~16 samples per run; the per-block cost without a sampler is
+   one match. *)
+let sampler e ~obs ~n =
+  match obs with
+  | None -> None
+  | Some obs ->
+    let config = e.config in
+    let reg = Obs.Run.registry obs in
+    register_obs reg;
+    let ipc_series = Obs.Registry.series reg "ripple_sim_ipc" in
+    let mpki_series = Obs.Registry.series reg "ripple_sim_mpki" in
+    let every = max 1 (n / 16) in
+    Some
+      (fun at ->
+        if (at + 1) mod every = 0 then begin
+          let original = e.instructions - e.hint_instructions in
+          if original > 0 then begin
+            let cycles =
+              (config.Config.cpi_base *. Float.of_int original)
+              +. (config.Config.hint_cpi *. Float.of_int e.hint_instructions)
+              +. (config.Config.miss_exposure *. Float.of_int e.miss_cycles)
+            in
+            Obs.Metric.sample ipc_series ~at
+              (if cycles > 0.0 then Float.of_int original /. cycles else 0.0);
+            Obs.Metric.sample mpki_series ~at
+              (Stats.mpki (Cache.stats e.l1) ~instructions:original)
+          end
+        end)
+
+let observe obs e result =
+  match obs with
+  | Some o ->
+    observe_result o result;
+    observe_duel o e.l1
+  | None -> ()
+
+(* The unsampled result: the counters as they stand, observed. *)
+let finish_full ?obs e =
+  let result =
+    finish ~config:e.config ~instructions:e.instructions ~hint_instructions:e.hint_instructions
+      ~miss_cycles:(Float.of_int e.miss_cycles) ~l1i:(Cache.stats e.l1)
+      ~l2_served:e.l2_served ~l3_served:e.l3_served ~mem_served:e.mem_served
   in
-  let reset_counters () =
-    Stats.reset (Cache.stats l1);
-    miss_cycles := 0;
-    instructions := 0;
-    hint_instructions := 0;
-    l2_served := 0;
-    l3_served := 0;
-    mem_served := 0
+  observe obs e result;
+  result
+
+(* Block [at]'s end in an unsampled run: its hints and instructions, the
+   IPC/MPKI sample and, once block [warmup - 1] has ended, the warm-up
+   reset — so the counters restart before block [warmup]'s first
+   access.  Both drivers retire blocks through here. *)
+let retire e ~sampler ~warmup ~n ~at id =
+  end_block e ~at id;
+  (match sampler with Some f -> f at | None -> ());
+  if at + 1 = warmup && warmup < n then reset_counters e
+
+let no_hint_observer ~at:_ _ ~resident:_ = ()
+
+let replay ?(config = Config.default) ?(warmup = 0) ?obs ?(on_hint = no_hint_observer)
+    ~program ~(trace : Trace.t) ~policy ~stream ~pos () =
+  let n = Trace.length trace in
+  let e = engine ~config ~policy ~on_hint program in
+  let sampler = sampler e ~obs ~n in
+  (* Blocks below [!next] have retired; an entry tagged [at] first
+     retires every block before [at], so each block's end falls after
+     its own entries and before the next block's. *)
+  let next = ref 0 in
+  let retire_before at =
+    while !next < at do
+      let b = !next in
+      retire e ~sampler ~warmup ~n ~at:b (Trace.get trace b);
+      next := b + 1
+    done
   in
-  let step at =
-    let id = Trace.get trace at in
-    let b = blocks.(id) in
-    flush_due ~at;
-    issue_all ~at (pf.Prefetcher.on_block b);
-    let bl = lines.(id) in
-    for i = 0 to Array.length bl - 1 do
-      let missed = demand ~block:id bl.(i) in
-      issue_all ~at (pf.Prefetcher.on_demand ~line:bl.(i) ~missed)
-    done;
-    let hints = b.Basic_block.hints in
-    for i = 0 to Array.length hints - 1 do
-      let hint = hints.(i) in
-      let line = Basic_block.hint_line hint in
-      if !hints_observed then on_hint ~at hint ~resident:(Cache.contains l1 line);
-      (match hint with
-      | Basic_block.Invalidate line -> Cache.invalidate l1 line
-      | Basic_block.Demote line -> Cache.demote l1 line);
-      incr hint_instructions
-    done;
-    instructions := !instructions + Basic_block.total_instrs b
+  Access_stream.iteri
+    (fun i acc ->
+      let at = pos i in
+      if at >= n then invalid_arg "Simulator.replay: stream position past the end of the trace";
+      retire_before at;
+      ignore (access e acc : bool))
+    stream;
+  retire_before n;
+  finish_full ?obs e
+
+(* [run_trace] with the live front end: prefetcher, predictors and the
+   in-flight queue run beside the caches. *)
+let run_front_end ~config ~warmup ?obs ~on_hint ?sampling ~program ~(trace : Trace.t) ~policy
+    ~prefetcher () =
+  let n = Trace.length trace in
+  let e = engine ~config ~policy ~on_hint program in
+  let fetch, save_front_end =
+    front_end ~config ~program ~prefetcher ~access:(fun ~at:_ acc -> access e acc)
   in
   match sampling with
   | None ->
-    (* Periodic IPC/MPKI samples in *virtual* time (the trace index), so
-       the series is a pure function of the run — identical at any pool
-       size.  At most ~16 samples per run; the per-block cost without a
-       sampler is one match. *)
-    let sampler =
-      match obs with
-      | None -> None
-      | Some obs ->
-        let reg = Obs.Run.registry obs in
-        register_obs reg;
-        let ipc_series = Obs.Registry.series reg "ripple_sim_ipc" in
-        let mpki_series = Obs.Registry.series reg "ripple_sim_mpki" in
-        let every = max 1 (n / 16) in
-        Some
-          (fun at ->
-            if (at + 1) mod every = 0 then begin
-              let original = !instructions - !hint_instructions in
-              if original > 0 then begin
-                let cycles =
-                  (config.Config.cpi_base *. Float.of_int original)
-                  +. (config.Config.hint_cpi *. Float.of_int !hint_instructions)
-                  +. (config.Config.miss_exposure *. Float.of_int !miss_cycles)
-                in
-                Obs.Metric.sample ipc_series ~at
-                  (if cycles > 0.0 then Float.of_int original /. cycles else 0.0);
-                Obs.Metric.sample mpki_series ~at
-                  (Stats.mpki (Cache.stats l1) ~instructions:original)
-              end
-            end)
-    in
+    (* Steady state: warm the caches and predictors, then zero the
+       counters at the warm-up boundary. *)
+    let sampler = sampler e ~obs ~n in
     for at = 0 to n - 1 do
-      (* Steady state: warm the caches and predictors, then zero the
-         counters at the warm-up boundary. *)
-      if at = warmup && warmup > 0 then reset_counters ();
-      step at;
-      match sampler with Some f -> f at | None -> ()
+      let id = Trace.get trace at in
+      fetch ~at id;
+      retire e ~sampler ~warmup ~n ~at id
     done;
-    let result =
-      finish ~config ~instructions:!instructions ~hint_instructions:!hint_instructions
-        ~miss_cycles:(Float.of_int !miss_cycles) ~l1i:(Cache.stats l1)
-        ~l2_served:!l2_served ~l3_served:!l3_served ~mem_served:!mem_served
-    in
-    (match obs with
-    | Some o ->
-      observe_result o result;
-      observe_duel o l1
-    | None -> ());
-    (result, None)
+    (finish_full ?obs e, None)
   | Some (sampling : Sampling.t) ->
+    let step at =
+      let id = Trace.get trace at in
+      fetch ~at id;
+      end_block e ~at id
+    in
     let spans = Sampling.select ~warmup ~n sampling in
     (* Warm phase, then checkpoint: cache + hierarchy + prefetcher +
        in-flight prefetches, restored before every window. *)
     for at = 0 to min warmup n - 1 do
       step at
     done;
-    reset_counters ();
+    reset_counters e;
     let restore =
-      let restore_l1 = Cache.save l1 in
-      let restore_hierarchy = Hierarchy.save hierarchy in
-      let restore_pf = pf.Prefetcher.save () in
-      let in_flight' = Array.copy in_flight in
+      let restore_l1 = Cache.save e.l1 in
+      let restore_hierarchy = Hierarchy.save e.hierarchy in
+      let restore_front_end = save_front_end () in
       fun () ->
         restore_l1 ();
         restore_hierarchy ();
-        restore_pf ();
-        Array.blit in_flight' 0 in_flight 0 slots
+        restore_front_end ()
     in
     let total_stats = Stats.create () in
     let t_instr = ref 0 and t_hint = ref 0 and t_miss = ref 0 in
@@ -417,37 +519,44 @@ let run_trace ?(config = Config.default) ?(warmup = 0) ?obs
         restore ();
         (* Uncounted ramp from the checkpoint to the window, detraining
            the checkpoint bias before measurement starts. *)
-        hints_observed := false;
+        e.hints_observed <- false;
         for at = max warmup (w_start - sampling.Sampling.warm_blocks) to w_start - 1 do
           step at
         done;
-        hints_observed := true;
-        let snap = Stats.copy (Cache.stats l1) in
-        let s_instr = !instructions and s_hint = !hint_instructions in
-        let s_miss = !miss_cycles in
-        let s_l2 = !l2_served and s_l3 = !l3_served and s_mem = !mem_served in
+        e.hints_observed <- true;
+        let snap = Stats.copy (Cache.stats e.l1) in
+        let s_instr = e.instructions and s_hint = e.hint_instructions in
+        let s_miss = e.miss_cycles in
+        let s_l2 = e.l2_served and s_l3 = e.l3_served and s_mem = e.mem_served in
         for at = w_start to w_end - 1 do
           step at
         done;
-        t_instr := !t_instr + !instructions - s_instr;
-        t_hint := !t_hint + !hint_instructions - s_hint;
-        t_miss := !t_miss + !miss_cycles - s_miss;
-        t_l2 := !t_l2 + !l2_served - s_l2;
-        t_l3 := !t_l3 + !l3_served - s_l3;
-        t_mem := !t_mem + !mem_served - s_mem;
-        Stats.accumulate_delta ~into:total_stats ~before:snap ~after:(Cache.stats l1))
+        t_instr := !t_instr + e.instructions - s_instr;
+        t_hint := !t_hint + e.hint_instructions - s_hint;
+        t_miss := !t_miss + e.miss_cycles - s_miss;
+        t_l2 := !t_l2 + e.l2_served - s_l2;
+        t_l3 := !t_l3 + e.l3_served - s_l3;
+        t_mem := !t_mem + e.mem_served - s_mem;
+        Stats.accumulate_delta ~into:total_stats ~before:snap ~after:(Cache.stats e.l1))
       spans;
     let result =
       finish ~config ~instructions:!t_instr ~hint_instructions:!t_hint
         ~miss_cycles:(Float.of_int !t_miss) ~l1i:total_stats ~l2_served:!t_l2
         ~l3_served:!t_l3 ~mem_served:!t_mem
     in
-    (match obs with
-    | Some o ->
-      observe_result o result;
-      observe_duel o l1
-    | None -> ());
+    observe obs e result;
     (result, Some (Sampling.report_of_spans ~warmup ~n spans))
+
+let run_trace ?(config = Config.default) ?(warmup = 0) ?obs ?(on_hint = no_hint_observer)
+    ?sampling ?recorded ~program ~trace ~policy ~prefetcher () =
+  match (sampling, recorded) with
+  | None, Some recorded ->
+    (* The only place that picks the recording over the front end: a
+       sampled run rewinds the prefetcher at every window, so it cannot
+       read a stream recorded front to back. *)
+    let stream, pos = recorded () in
+    (replay ~config ~warmup ?obs ~on_hint ~program ~trace ~policy ~stream ~pos (), None)
+  | _ -> run_front_end ~config ~warmup ?obs ~on_hint ?sampling ~program ~trace ~policy ~prefetcher ()
 
 let run ?config ?warmup ?obs ?on_hint ~program ~trace ~policy ~prefetcher () =
   fst
@@ -475,48 +584,18 @@ let ideal_cache ?config ?warmup ~program ~trace () =
 
 let record_stream_indexed_trace ?(config = Config.default) ?backing ~program
     ~(trace : Trace.t) ~prefetcher () =
+  (* The LRU model only answers the prefetcher's [~missed]. *)
   let l1 = Cache.create ~geometry:config.Config.l1i ~policy:Lru.make () in
-  let pf = prefetcher program in
-  let lines = block_lines program in
-  let blocks = Program.blocks program in
   let builder = Access_stream.Builder.create ?backing () in
   let pos = Int_stream.Builder.create ?backing () in
-  let emit (acc : Access.packed) ~at =
+  let access ~at (acc : Access.packed) =
     Access_stream.Builder.add builder acc;
-    Int_stream.Builder.add pos at
+    Int_stream.Builder.add pos at;
+    Cache.access_packed l1 acc = Cache.Miss
   in
-  let delay = max 0 config.Config.prefetch_latency_blocks in
-  let slots = delay + 1 in
-  let in_flight = Array.make slots [] in
-  let rec complete_all ~at = function
-    | [] -> ()
-    | (acc : Access.packed) :: rest ->
-      complete_all ~at rest;
-      emit acc ~at;
-      ignore (Cache.access_packed l1 acc)
-  in
-  let rec issue_all ~at = function
-    | [] -> ()
-    | (acc : Access.packed) :: rest ->
-      let slot = (at + delay) mod slots in
-      in_flight.(slot) <- acc :: in_flight.(slot);
-      issue_all ~at rest
-  in
-  let n = Trace.length trace in
-  for at = 0 to n - 1 do
-    let id = Trace.get trace at in
-    let slot = at mod slots in
-    complete_all ~at in_flight.(slot);
-    in_flight.(slot) <- [];
-    let b = blocks.(id) in
-    issue_all ~at (pf.Prefetcher.on_block b);
-    let bl = lines.(id) in
-    for i = 0 to Array.length bl - 1 do
-      let acc = Access.pack_demand ~line:bl.(i) ~block:id in
-      emit acc ~at;
-      let missed = Cache.access_packed l1 acc = Cache.Miss in
-      issue_all ~at (pf.Prefetcher.on_demand ~line:bl.(i) ~missed)
-    done
+  let fetch, _ = front_end ~config ~program ~prefetcher ~access in
+  for at = 0 to Trace.length trace - 1 do
+    fetch ~at (Trace.get trace at)
   done;
   (Access_stream.Builder.finish builder, Int_stream.Builder.finish pos)
 

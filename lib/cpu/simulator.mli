@@ -5,7 +5,9 @@
     charging [cpi_base] per retired instruction plus the exposed latency
     of every L1I demand miss.  Injected Ripple hints execute at the end
     of their block (invalidating or demoting their target line in the
-    L1I only).
+    L1I only).  {!replay} drives the same caches and timing from a
+    recorded access stream instead of the live front end, which is how
+    one recording serves every replacement policy.
 
     IPC is computed over {e original} instructions (hint instructions
     excluded from the numerator, though they cost cycles), so runs of the
@@ -130,6 +132,7 @@ val run_trace :
   ?obs:Ripple_obs.Run.t ->
   ?on_hint:(at:int -> Ripple_isa.Basic_block.hint -> resident:bool -> unit) ->
   ?sampling:Sampling.t ->
+  ?recorded:(unit -> Access_stream.t * (int -> int)) ->
   program:Program.t ->
   trace:Trace.t ->
   policy:Policy.factory ->
@@ -144,7 +147,55 @@ val run_trace :
     selected windows, splicing their counter deltas; [on_hint] fires only
     inside measured windows, and the periodic IPC/MPKI series is not
     emitted.  A degenerate sampling (windows covering the whole
-    steady-state region) reproduces the full run's result exactly. *)
+    steady-state region) reproduces the full run's result exactly.
+
+    [recorded] offers the access stream [prefetcher] issues over [trace]
+    (with its position index, as {!replay} takes them).  An unsampled
+    run then calls it and is {!replay} over what it returns, with the
+    same result, [obs] snapshot and [on_hint] sequence; a sampled run
+    never calls it, because its checkpoints rewind the prefetcher, so it
+    always drives the live front end.  Offer a recording only for a
+    prefetcher whose issue stream is a function of control flow alone
+    (see {!replay}).  The caller keeps ownership of the stream. *)
+
+val replay :
+  ?config:Config.t ->
+  ?warmup:int ->
+  ?obs:Ripple_obs.Run.t ->
+  ?on_hint:(at:int -> Ripple_isa.Basic_block.hint -> resident:bool -> unit) ->
+  program:Program.t ->
+  trace:Trace.t ->
+  policy:Policy.factory ->
+  stream:Access_stream.t ->
+  pos:(int -> int) ->
+  unit ->
+  result
+(** {!run_trace} without the front end: drives the L1I (under [policy])
+    and the L2/L3 hierarchy from [stream], the access stream recorded
+    over [trace] by {!record_stream_indexed_trace} with the same
+    [config] and [program]; [pos i] is entry [i]'s trace index from the
+    position index recorded with it.  Per access it does what
+    [run_trace] does: a demand access charges a miss penalty and counts
+    the level that served it, a completed prefetch fetches its line
+    through L2/L3 uncounted.  When the position index moves past block
+    [at] — before the first entry of a later block, or at the end of
+    the stream — block [at] retires: its hints run ([on_hint], then the
+    invalidate or demote), its instructions are counted and the [obs]
+    IPC/MPKI sampler ticks.  The counters are reset before the first
+    entry tagged [warmup].  Raises [Invalid_argument] on a position at
+    or past the end of [trace].
+
+    Callers reach it through {!run_trace}[ ~recorded], which owns the
+    choice between the two drivers.  The result, the [obs] snapshot and
+    the [on_hint] sequence equal those of an unsampled [run_trace]
+    without [recorded] over the same inputs {e provided} the
+    prefetcher's issue stream is a function of control flow alone (see
+    {!Ripple_prefetch.Prefetcher}).  The stream was recorded beside an
+    LRU model, so a prefetcher that reacts to [~missed] would have
+    issued differently under [policy] or under the hints.  The three
+    pipeline prefetchers ({!prefetcher_none}, {!prefetcher_nlp},
+    {!prefetcher_fdip}) qualify; RDIP, which trains on misses, does not,
+    and its runs must drive the live front end. *)
 
 val register_obs : Ripple_obs.Registry.t -> unit
 (** Pre-registers the simulator's whole metric vocabulary
@@ -178,10 +229,9 @@ val oracle :
   unit ->
   result
 (** Ideal replacement (MIN or Demand-MIN) over the access stream the
-    prefetcher produces.  The stream is recorded under an LRU reference
-    run (prefetcher reactions depend on hit/miss outcomes); the oracle
-    then replays it offline — the standard construction for
-    prefetch-aware replacement limit studies.  [stream] supplies a
+    prefetcher produces ({!record_stream}); the oracle replays it
+    offline — the standard construction for prefetch-aware replacement
+    limit studies.  [stream] supplies a
     pre-recorded indexed stream (as returned by
     {!record_stream_indexed} for the same config/trace/prefetcher),
     letting callers that run several oracles over one stream — or memo
@@ -218,10 +268,16 @@ val record_stream :
   prefetcher:(Program.t -> Prefetcher.t) ->
   unit ->
   Access_stream.t
-(** The demand+prefetch access stream of an LRU reference run — the
-    input to both {!oracle} and Ripple's offline analysis.  Recorded
-    straight into packed chunks: one word per access, no boxed records,
-    so a 10x longer trace costs 10x one-word entries and nothing else. *)
+(** The demand+prefetch access stream the front end issues over
+    [trace]: per block, the prefetches completing as it is fetched, then
+    its demand fetches — the input to {!oracle}, {!replay} and Ripple's
+    offline analysis.  An LRU L1I model runs alongside only to supply
+    the prefetcher's [~missed] argument, which none of the pipeline
+    prefetchers reads, so for them the stream is a function of the
+    trace and the program alone and holds for every replacement policy.
+    Recorded straight into packed chunks: one word per access, no boxed
+    records, so a 10x longer trace costs 10x one-word entries and
+    nothing else. *)
 
 val record_stream_indexed :
   ?config:Config.t ->
@@ -231,9 +287,11 @@ val record_stream_indexed :
   unit ->
   Access_stream.t * int array
 (** Like {!record_stream}, additionally returning, per stream entry, the
-    index into [trace] of the block being executed when the access was
-    issued — the coordinate change Ripple's analysis uses to express
-    eviction windows over the basic-block trace. *)
+    index into [trace] of the block being fetched when the access
+    reached the L1I (for a prefetch, the block it completes at, not the
+    one that issued it) — the coordinate change Ripple's analysis uses
+    to express eviction windows over the basic-block trace, and the
+    block boundaries {!replay} retires blocks at. *)
 
 val record_stream_indexed_trace :
   ?config:Config.t ->

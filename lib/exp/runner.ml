@@ -50,18 +50,10 @@ let no_gc_stats =
 type memo = {
   workloads : (string, W.Cfg_gen.t) Hashtbl.t;
   traces : (string * int * string, int array) Hashtbl.t;
-  streams :
-    ( string * int * string * string * string * Config.t,
-      Ripple_cache.Access_stream.t * int array )
-    Hashtbl.t;
-      (* Recorded access streams in their compact packed form — one word
-         per access — so memoizing them costs a small fraction of what
-         boxed streams would. *)
 }
 
 let memo_key : memo Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { workloads = Hashtbl.create 8; traces = Hashtbl.create 16; streams = Hashtbl.create 16 })
+  Domain.DLS.new_key (fun () -> { workloads = Hashtbl.create 8; traces = Hashtbl.create 16 })
 
 let workload_of app =
   let memo = Domain.DLS.get memo_key in
@@ -98,42 +90,92 @@ let trace_of app ~n_instrs (input : Spec.input) =
     Hashtbl.add memo.traces key t;
     t
 
-(* The prefetcher-shaped access stream of the eval trace, in packed form.
-   Deterministic in its key (recording replays an LRU reference run), so
-   several oracle cells over the same (app, input, length, prefetcher,
-   config) share one recording. *)
-let stream_of ~config ~backing (spec : Spec.t) ~trace ~program =
-  let memo = Domain.DLS.get memo_key in
-  let input = executor_input spec.Spec.input in
-  let key =
-    ( spec.Spec.app,
-      spec.Spec.n_instrs,
-      input.W.Executor.label,
-      Pipeline.prefetch_name spec.Spec.prefetch,
-      Ripple_util.Int_stream.backing_name backing,
-      config )
-  in
-  match Hashtbl.find_opt memo.streams key with
-  | Some s -> s
-  | None ->
-    let stream, pos =
-      Simulator.record_stream_indexed_trace ~config ~backing ~program
-        ~trace:(Simulator.Trace.Blocks trace)
-        ~prefetcher:(Pipeline.prefetcher_of ~config spec.Spec.prefetch)
-        ()
-    in
-    (* The position index is consulted only for the warm-up boundary
-       search, so it is materialized; the stream itself — the big half —
-       keeps whatever backing the caller chose. *)
-    let s = (stream, Ripple_util.Int_stream.to_array pos) in
-    Ripple_util.Int_stream.close pos;
-    Hashtbl.add memo.streams key s;
-    s
+(* ------------------- recorded streams, per sweep -------------------- *)
+
+(* The prefetcher-shaped access stream of a cell's eval trace, with its
+   position index, in packed form.  Deterministic in its key under one
+   sweep's config and backing, and the same under every replacement
+   policy (none of the pipeline prefetchers reads hit/miss outcomes), so
+   the policy and oracle cells of one key can all read one recording.
+   [run] counts those readers before the pool starts; a key with two or
+   more gets a [recording], made by whichever domain asks first, read by
+   every domain, and closed when its last reader has finished.  A lone
+   reader records nothing for later: a policy cell drives the live front
+   end, an oracle cell records for itself. *)
+
+type stream_key = string * int * Spec.input * string
+
+type recording = {
+  lock : Mutex.t;
+  mutable readers : int;  (* cells still to finish *)
+  mutable recorded : (Ripple_cache.Access_stream.t * Ripple_util.Int_stream.t) option;
+}
+
+let stream_key (spec : Spec.t) : stream_key =
+  (spec.Spec.app, spec.Spec.n_instrs, spec.Spec.input, Pipeline.prefetch_name spec.Spec.prefetch)
+
+let reads_stream (spec : Spec.t) =
+  match spec.Spec.kind with
+  | Spec.Policy _ | Spec.Oracle -> true
+  | Spec.Ideal_cache | Spec.Ripple _ -> false
+
+let record_stream ~config ~backing (spec : Spec.t) ~trace ~program =
+  Simulator.record_stream_indexed_trace ~config ~backing ~program
+    ~trace:(Simulator.Trace.Blocks trace)
+    ~prefetcher:(Pipeline.prefetcher_of ~config spec.Spec.prefetch)
+    ()
+
+let close_recorded (stream, pos) =
+  Ripple_cache.Access_stream.close stream;
+  Ripple_util.Int_stream.close pos
+
+let recordings specs =
+  let readers = Hashtbl.create 16 in
+  Array.iter
+    (fun spec ->
+      if reads_stream spec then begin
+        let key = stream_key spec in
+        Hashtbl.replace readers key (1 + Option.value ~default:0 (Hashtbl.find_opt readers key))
+      end)
+    specs;
+  let t = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun key n ->
+      if n >= 2 then Hashtbl.add t key { lock = Mutex.create (); readers = n; recorded = None })
+    readers;
+  t
+
+(* The shared recording of [spec]'s key, made on first use; [None] for a
+   lone reader. *)
+let shared_stream recordings ~config ~backing spec ~trace ~program =
+  Option.map
+    (fun r () ->
+      Mutex.protect r.lock (fun () ->
+          match r.recorded with
+          | Some s -> s
+          | None ->
+            let s = record_stream ~config ~backing spec ~trace ~program in
+            r.recorded <- Some s;
+            s))
+    (Hashtbl.find_opt recordings (stream_key spec))
+
+(* [spec]'s cell has finished, every attempt of it. *)
+let release recordings spec =
+  if reads_stream spec then
+    Option.iter
+      (fun r ->
+        Mutex.protect r.lock (fun () ->
+            r.readers <- r.readers - 1;
+            if r.readers = 0 then begin
+              Option.iter close_recorded r.recorded;
+              r.recorded <- None
+            end))
+      (Hashtbl.find_opt recordings (stream_key spec))
 
 (* ----------------------------- one cell ------------------------------ *)
 
-let run_spec ?(config = Config.default) ?(backing = Ripple_cache.Access_stream.Heap)
-    ?sampling ?(shards = 1) (spec : Spec.t) =
+let run_cell ~recordings ?(config = Config.default)
+    ?(backing = Ripple_cache.Access_stream.Heap) ?sampling ?(shards = 1) (spec : Spec.t) =
   let workload = workload_of spec.Spec.app in
   let program = workload.W.Cfg_gen.program in
   let eval = trace_of spec.Spec.app ~n_instrs:spec.Spec.n_instrs spec.Spec.input in
@@ -147,10 +189,17 @@ let run_spec ?(config = Config.default) ?(backing = Ripple_cache.Access_stream.H
   let obs = Obs.Run.create () in
   match spec.Spec.kind with
   | Spec.Policy name ->
+    let recorded =
+      Option.map
+        (fun shared () ->
+          let stream, pos = shared () in
+          (stream, Ripple_util.Int_stream.get pos))
+        (shared_stream recordings ~config ~backing spec ~trace:eval ~program)
+    in
     let result =
       Obs.Span.with_span (Obs.Run.spans obs) "simulate" (fun () ->
           fst
-            (Simulator.run_trace ~config ~warmup ~obs ?sampling ~program
+            (Simulator.run_trace ~config ~warmup ~obs ?sampling ?recorded ~program
                ~trace:(Simulator.Trace.Blocks eval) ~policy:(policy_of name) ~prefetcher ()))
     in
     { result; evaluation = None; analysis = None; metrics = Obs.Run.snapshot obs }
@@ -162,15 +211,25 @@ let run_spec ?(config = Config.default) ?(backing = Ripple_cache.Access_stream.H
     Simulator.observe_result obs result;
     { result; evaluation = None; analysis = None; metrics = Obs.Run.snapshot obs }
   | Spec.Oracle ->
-    let stream = stream_of ~config ~backing spec ~trace:eval ~program in
+    let with_stream f =
+      match shared_stream recordings ~config ~backing spec ~trace:eval ~program with
+      | Some shared -> f (shared ())
+      | None ->
+        let own = record_stream ~config ~backing spec ~trace:eval ~program in
+        Fun.protect ~finally:(fun () -> close_recorded own) (fun () -> f own)
+    in
     let result =
       Obs.Span.with_span (Obs.Run.spans obs) "simulate" (fun () ->
-          if shards > 1 then
-            Shard.oracle ~config ~shards ~backing ~warmup ~stream
-              ~mode:(Pipeline.belady_mode_of prefetch) ~program ~trace:eval ~prefetcher ()
-          else
-            Simulator.oracle ~config ~warmup ~stream ~mode:(Pipeline.belady_mode_of prefetch)
-              ~program ~trace:eval ~prefetcher ())
+          with_stream (fun (stream, pos) ->
+              (* The oracle's warm-up search wants the index as an array;
+                 it is copied for this cell only. *)
+              let stream = (stream, Ripple_util.Int_stream.to_array pos) in
+              if shards > 1 then
+                Shard.oracle ~config ~shards ~backing ~warmup ~stream
+                  ~mode:(Pipeline.belady_mode_of prefetch) ~program ~trace:eval ~prefetcher ()
+              else
+                Simulator.oracle ~config ~warmup ~stream ~mode:(Pipeline.belady_mode_of prefetch)
+                  ~program ~trace:eval ~prefetcher ()))
     in
     Simulator.observe_result obs result;
     { result; evaluation = None; analysis = None; metrics = Obs.Run.snapshot obs }
@@ -197,6 +256,10 @@ let run_spec ?(config = Config.default) ?(backing = Ripple_cache.Access_stream.H
       metrics = oc.Pipeline.metrics;
     }
 
+(* A cell on its own shares no recording. *)
+let run_spec ?config ?backing ?sampling ?shards spec =
+  run_cell ~recordings:(Hashtbl.create 0) ?config ?backing ?sampling ?shards spec
+
 (* ------------------------------ the pool ----------------------------- *)
 
 let progress_lock = Mutex.create ()
@@ -207,6 +270,7 @@ let run ?config ?backing ?sampling ?shards ?jobs ?(quiet = false) ?(retries = 0)
     ?max_failures specs =
   let specs = Array.of_list specs in
   let total = Array.length specs in
+  let recordings = recordings specs in
   let done_count = Atomic.make 0 in
   let failures = Atomic.make 0 in
   (* The breaker is polled per claim: once the failure budget is spent,
@@ -230,7 +294,7 @@ let run ?config ?backing ?sampling ?shards ?jobs ?(quiet = false) ?(retries = 0)
         if k = 0 then spec
         else { spec with Spec.seed = Spec.perturb_seed spec.Spec.seed ~attempt:k }
       in
-      match run_spec ?config ?backing ?sampling ?shards spec_k with
+      match run_cell ~recordings ?config ?backing ?sampling ?shards spec_k with
       | outcome -> (Done outcome, k + 1)
       | exception e ->
         let backtrace = String.trim (Printexc.get_backtrace ()) in
@@ -241,6 +305,7 @@ let run ?config ?backing ?sampling ?shards ?jobs ?(quiet = false) ?(retries = 0)
         end
     in
     let status, attempts = attempt 0 in
+    release recordings spec;
     let g1 = Gc.quick_stat () in
     let elapsed = Unix.gettimeofday () -. t0 in
     (* Words this domain allocated while the cell ran; promoted words
@@ -267,6 +332,8 @@ let run ?config ?backing ?sampling ?shards ?jobs ?(quiet = false) ?(retries = 0)
     (status, elapsed, gc, attempts)
   in
   let results = Pool.run ?jobs ~stop ~f specs in
+  (* Cells the breaker skipped never released their recordings. *)
+  Hashtbl.iter (fun _ r -> Option.iter close_recorded r.recorded) recordings;
   Array.to_list
     (Array.map2
        (fun spec r ->

@@ -7,8 +7,12 @@
     Determinism: a cell's outcome is a pure function of its spec —
     workload generation and trace execution are deterministic in
     [(app, input, n_instrs)], stochastic policies are seeded from
-    {!Spec.prng_seed}, and domains share no mutable state (each worker
-    keeps its own workload/trace memo in [Domain.DLS]).  Results are
+    {!Spec.prng_seed}, and each worker keeps its own workload/trace
+    memo in [Domain.DLS].  The one state domains share is the sweep's
+    recorded access streams: the policy and oracle cells of one (app,
+    input, length, prefetcher) read one recording when there are two or
+    more of them, made by whichever domain asks first and closed after
+    the last reader — the same ints whoever records them.  Results are
     returned in submission order regardless of completion order, so
     [run ~jobs:1] and [run ~jobs:n] produce identical cell lists,
     byte-for-byte once rendered by {!Report}.
@@ -75,7 +79,9 @@ val run_spec :
   ?shards:int ->
   Spec.t ->
   outcome
-(** Executes one cell in the calling domain.
+(** Executes one cell in the calling domain.  A cell on its own shares
+    no recorded stream: a policy cell drives the live front end and an
+    oracle cell records, uses and closes its own.
 
     [backing] (default [Heap]) places recorded access streams and Belady
     working tables; [Spill] keeps them in unlinked mmap files, shrinking

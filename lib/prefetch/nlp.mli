@@ -8,10 +8,8 @@
     Demand-MIN analysis (and Ripple's injected invalidations) reason
     about it soundly.  A small filter suppresses the duplicate
     next-line requests that sequential fetch would otherwise spray.
+    [~missed] is ignored, so the simulator may replay a recorded stream
+    in place of this prefetcher ({!Prefetcher.t}). *)
 
-    [~on_miss_only:true] restores the miss-triggered variant (used by
-    the ablation bench to show why access-triggered is the right
-    model). *)
-
-val create : ?degree:int -> ?on_miss_only:bool -> unit -> Prefetcher.t
+val create : ?degree:int -> unit -> Prefetcher.t
 (** [degree] defaults to 1. *)

@@ -35,10 +35,10 @@ let test_parallel_determinism () =
       Alcotest.(check bool) "cell ok" true (Result.is_ok (Exp.Runner.result c)))
     serial
 
-(* Same property through the packed-stream memo: Oracle cells share a
-   per-domain recorded stream, so a sweep that mixes Oracle specs (which
-   hit and miss the memo in a scheduling-dependent order) must still
-   render byte-identically across job counts. *)
+(* Same property through the shared recordings: the oracle and policy
+   cells of one (app, input, length, prefetcher) read one recorded
+   stream, made by whichever domain reaches it first, so a sweep that
+   mixes them must still render byte-identically across job counts. *)
 let test_parallel_determinism_with_memoized_streams () =
   let open Exp.Spec in
   let specs =
@@ -291,6 +291,44 @@ let test_backing_shard_jsonl_identity () =
     "no spill files leaked" 0
     (List.length (Ripple_util.Int_stream.Spill.live ()))
 
+(* Cells that share a recorded stream replay it; a lone policy cell
+   drives the front end and a lone oracle cell records for itself.  Each
+   cell's result and metrics equal those of the cell run on its own, and
+   the sweep closes every recording it made. *)
+let test_shared_recordings () =
+  let open Exp.Spec in
+  let fdip = Core.Pipeline.Fdip and nlp = Core.Pipeline.Nlp in
+  let none = Core.Pipeline.No_prefetch in
+  let specs =
+    [
+      v ~n_instrs ~app:"finagle-http" ~prefetch:fdip (Policy "lru");
+      v ~n_instrs ~app:"finagle-http" ~prefetch:fdip (Policy "srrip");
+      v ~n_instrs ~app:"finagle-http" ~prefetch:fdip Oracle;
+      v ~n_instrs ~app:"finagle-http" ~prefetch:nlp (Policy "drrip");
+      v ~n_instrs ~app:"finagle-http" ~prefetch:nlp (Policy "ship");
+      v ~n_instrs ~app:"finagle-http" ~prefetch:none (Policy "hawkeye");
+      v ~n_instrs ~app:"verilator" ~prefetch:fdip Oracle;
+    ]
+  in
+  let backing = Ripple_util.Int_stream.spill () in
+  let cells = Exp.Runner.run ~backing ~jobs:2 ~quiet:true specs in
+  Alcotest.(check int)
+    "every recording closed" 0
+    (List.length (Ripple_util.Int_stream.Spill.live ()));
+  let json r = Json.to_string (Cpu.Simulator.result_to_json r) in
+  let metrics o = Json.to_string (Ripple_obs.Snapshot.to_json o.Exp.Runner.metrics) in
+  List.iter
+    (fun (c : Exp.Runner.cell) ->
+      let name = Exp.Spec.to_string c.Exp.Runner.spec in
+      match Exp.Runner.result c with
+      | Error e -> Alcotest.fail (name ^ ": " ^ e)
+      | Ok o ->
+        let alone = Exp.Runner.run_spec c.Exp.Runner.spec in
+        Alcotest.(check string) (name ^ " result") (json alone.Exp.Runner.result)
+          (json o.Exp.Runner.result);
+        Alcotest.(check string) (name ^ " metrics") (metrics alone) (metrics o))
+    cells
+
 (* A sampled sweep is deterministic in the sampling spec — identical
    across reruns and job counts — and its rows carry the sample report. *)
 let test_sampled_sweep_deterministic () =
@@ -398,6 +436,7 @@ let suites =
         Alcotest.test_case "sharded oracle = unsharded" `Slow test_sharded_oracle_identity;
         Alcotest.test_case "backing/shards leave JSONL unchanged" `Slow
           test_backing_shard_jsonl_identity;
+        Alcotest.test_case "shared recordings = cells run alone" `Slow test_shared_recordings;
         Alcotest.test_case "sampled sweep deterministic" `Slow test_sampled_sweep_deterministic;
         Alcotest.test_case "registry complete at Table II geometry" `Quick
           test_registry_complete;

@@ -82,13 +82,52 @@ let test_ras_copy () =
 
 (* ------------------------------- Nlp -------------------------------- *)
 
-let test_nlp_prefetches_on_miss () =
+(* Access-triggered: the first reference to a line issues its next
+   lines; a repeat trigger is suppressed by the duplicate filter, whatever
+   its hit/miss outcome. *)
+let test_nlp_next_lines_and_filter () =
   let nlp = Nlp.create ~degree:2 () in
-  let on_miss = nlp.Prefetcher.on_demand ~line:10 ~missed:true in
+  let first = nlp.Prefetcher.on_demand ~line:10 ~missed:true in
   check (Alcotest.list Alcotest.int) "next two lines" [ 11; 12 ]
-    (List.map Access.packed_line on_miss);
-  checkb "all prefetch kind" true (List.for_all Access.packed_is_prefetch on_miss);
-  checki "nothing on hit" 0 (List.length (nlp.Prefetcher.on_demand ~line:10 ~missed:false))
+    (List.map Access.packed_line first);
+  checkb "all prefetch kind" true (List.for_all Access.packed_is_prefetch first);
+  checki "repeat trigger filtered (hit)" 0
+    (List.length (nlp.Prefetcher.on_demand ~line:10 ~missed:false));
+  checki "repeat trigger filtered (miss)" 0
+    (List.length (nlp.Prefetcher.on_demand ~line:10 ~missed:true))
+
+(* The replay precondition: none, NLP and FDIP issue a function of
+   control flow alone.  Driven over one block sequence with two
+   different [missed] sequences, each issues identical packed lists. *)
+let test_issue_ignores_missed () =
+  let module W = Ripple_workloads in
+  let w = W.Cfg_gen.generate W.Apps.kafka in
+  let program = w.W.Cfg_gen.program in
+  let trace = W.Executor.run w ~input:W.Executor.train ~n_instrs:40_000 in
+  let issued (pf : Prefetcher.t) missed =
+    let out = ref [] in
+    Array.iter
+      (fun id ->
+        let b = Program.block program id in
+        out := pf.Prefetcher.on_block b :: !out;
+        List.iter (fun line -> out := pf.Prefetcher.on_demand ~line ~missed:(missed ()) :: !out)
+          (Basic_block.lines b))
+      trace;
+    List.rev !out
+  in
+  let rng = Ripple_util.Prng.create ~seed:5 in
+  List.iter
+    (fun (name, make) ->
+      let all_hits = issued (make ()) (fun () -> false) in
+      let random = issued (make ()) (fun () -> Ripple_util.Prng.bool rng) in
+      checkb (name ^ " issued something") true
+        (name = "none" || List.exists (fun l -> l <> []) all_hits);
+      check (Alcotest.list (Alcotest.list Alcotest.int)) (name ^ " ignores missed") all_hits random)
+    [
+      ("none", fun () -> Prefetcher.none);
+      ("nlp", fun () -> Nlp.create ());
+      ("fdip", fun () -> Fdip.create ~program ());
+    ]
 
 (* ------------------------------- Fdip ------------------------------- *)
 
@@ -183,7 +222,10 @@ let suites =
         Alcotest.test_case "overflow wraps" `Quick test_ras_overflow_wraps;
         Alcotest.test_case "copy" `Quick test_ras_copy;
       ] );
-    ("prefetch.nlp", [ Alcotest.test_case "on miss" `Quick test_nlp_prefetches_on_miss ]);
+    ( "prefetch.nlp",
+      [ Alcotest.test_case "next lines + filter" `Quick test_nlp_next_lines_and_filter ] );
+    ( "prefetch.replay",
+      [ Alcotest.test_case "issue ignores missed" `Quick test_issue_ignores_missed ] );
     ( "prefetch.fdip",
       [
         Alcotest.test_case "runs ahead" `Quick test_fdip_runs_ahead;
