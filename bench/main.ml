@@ -894,17 +894,18 @@ let micro () =
   let { workload; train; eval; _ } = workload_of model in
   let program = workload.W.Cfg_gen.program in
   let short = Array.sub eval 0 (min 20_000 (Array.length eval)) in
-  let stream =
-    Cpu.Simulator.record_stream ~program ~trace:short
-      ~prefetcher:Cpu.Simulator.prefetcher_none ()
+  let record ~trace ~prefetcher =
+    let stream, pos =
+      Cpu.Simulator.record_stream_indexed_trace ~program
+        ~trace:(Cpu.Simulator.Trace.Blocks trace) ~prefetcher ()
+    in
+    (stream, Ripple_util.Int_stream.to_array pos)
   in
+  let stream, _ = record ~trace:short ~prefetcher:Cpu.Simulator.prefetcher_none in
   (* Cue selection's inputs, prepared once: the ideal eviction windows
      of a profile prefix and its per-block execution counts. *)
   let profile = Array.sub train 0 (min 20_000 (Array.length train)) in
-  let profile_stream =
-    Cpu.Simulator.record_stream ~program ~trace:profile
-      ~prefetcher:Cpu.Simulator.prefetcher_none ()
-  in
+  let profile_stream, _ = record ~trace:profile ~prefetcher:Cpu.Simulator.prefetcher_none in
   let windows =
     Core.Eviction_window.of_evictions
       (Cache.Belady.simulate Cache.Geometry.l1i ~mode:Cache.Belady.Min profile_stream)
@@ -930,22 +931,15 @@ let micro () =
   (* The front end's share of a policy cell: one LRU run of the prefix
      under FDIP, live and replayed from its recorded stream. *)
   let short_trace = Cpu.Simulator.Trace.Blocks short in
-  let fdip_stream, fdip_pos =
-    Cpu.Simulator.record_stream_indexed ~program ~trace:short
-      ~prefetcher:(fun p -> Cpu.Simulator.prefetcher_fdip p)
-      ()
-  in
-  let simulate_fdip () =
+  let fdip p = Cpu.Simulator.prefetcher_fdip p in
+  let fdip_stream, fdip_pos = record ~trace:short ~prefetcher:fdip in
+  let run_fdip ?recorded () =
     ignore
-      (Cpu.Simulator.run_trace ~program ~trace:short_trace ~policy:Cache.Lru.make
-         ~prefetcher:(fun p -> Cpu.Simulator.prefetcher_fdip p)
-         ())
+      (Cpu.Simulator.run_trace ?recorded ~program ~trace:short_trace ~policy:Cache.Lru.make
+         ~prefetcher:fdip ())
   in
-  let policy_replay () =
-    ignore
-      (Cpu.Simulator.replay ~program ~trace:short_trace ~policy:Cache.Lru.make
-         ~stream:fdip_stream ~pos:(Array.get fdip_pos) ())
-  in
+  let simulate_fdip () = run_fdip () in
+  let policy_replay () = run_fdip ~recorded:(fun () -> (fdip_stream, Array.get fdip_pos)) () in
   let pt_roundtrip () =
     let encoded = Ripple_trace.Pt.encode program short in
     ignore (Ripple_trace.Pt.decode program encoded)

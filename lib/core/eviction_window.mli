@@ -28,7 +28,7 @@ val of_evictions : ?demand_covered_only:bool -> Belady.eviction array -> t array
 
 val to_trace_coords : t array -> stream_pos:int array -> t array
 (** Re-expresses each window using [stream_pos], the per-stream-entry
-    trace index from {!Ripple_cpu.Simulator.record_stream_indexed}. *)
+    trace index from {!Ripple_cpu.Simulator.record_stream_indexed_trace}. *)
 
 val to_trace_coords_with : t array -> pos:(int -> int) -> t array
 (** {!to_trace_coords} over an arbitrary position lookup — e.g. a

@@ -278,33 +278,81 @@ let front_end ~(config : Config.t) ~program ~prefetcher
   in
   (step, save)
 
-let finish ~(config : Config.t) ~instructions ~hint_instructions ~miss_cycles ~l1i ~l2_served
-    ~l3_served ~mem_served =
-  let original = instructions - hint_instructions in
+(* The measured counters a run accumulates beside the L1I stats.
+   Penalties are integers; accumulating them in an int avoids a
+   boxed-float store per miss and converts once at the end.
+   (Bit-identical to float accumulation: every partial sum is far below
+   2^53.) *)
+type tally = {
+  mutable instructions : int;  (* retired, hints included *)
+  mutable hint_instructions : int;
+  mutable miss_cycles : int;
+  mutable l2_served : int;
+  mutable l3_served : int;
+  mutable mem_served : int;
+}
+
+let tally () =
+  {
+    instructions = 0;
+    hint_instructions = 0;
+    miss_cycles = 0;
+    l2_served = 0;
+    l3_served = 0;
+    mem_served = 0;
+  }
+
+let add_tally ~into t =
+  into.instructions <- into.instructions + t.instructions;
+  into.hint_instructions <- into.hint_instructions + t.hint_instructions;
+  into.miss_cycles <- into.miss_cycles + t.miss_cycles;
+  into.l2_served <- into.l2_served + t.l2_served;
+  into.l3_served <- into.l3_served + t.l3_served;
+  into.mem_served <- into.mem_served + t.mem_served
+
+(* A measured demand fill that [served]: counted by its level and
+   charged its exposed penalty.  Every driver's misses land here. *)
+let charge (config : Config.t) t (served : Hierarchy.served) =
+  (match served with
+  | Hierarchy.L2 -> t.l2_served <- t.l2_served + 1
+  | Hierarchy.L3 -> t.l3_served <- t.l3_served + 1
+  | Hierarchy.Memory -> t.mem_served <- t.mem_served + 1);
+  t.miss_cycles <- t.miss_cycles + Hierarchy.penalty config served
+
+(* IPC and MPKI count original instructions: hints cost cycles but are
+   not work. *)
+let original t = t.instructions - t.hint_instructions
+
+(* Cycles over a tally, and their IPC. *)
+let timing (config : Config.t) t =
+  let original = original t in
   let cycles =
     (config.Config.cpi_base *. Float.of_int original)
-    +. (config.Config.hint_cpi *. Float.of_int hint_instructions)
-    +. (config.Config.miss_exposure *. miss_cycles)
+    +. (config.Config.hint_cpi *. Float.of_int t.hint_instructions)
+    +. (config.Config.miss_exposure *. Float.of_int t.miss_cycles)
   in
-  let ipc = if cycles > 0.0 then Float.of_int original /. cycles else 0.0 in
+  (cycles, if cycles > 0.0 then Float.of_int original /. cycles else 0.0)
+
+let finish config t (l1i : Stats.t) =
+  let cycles, ipc = timing config t in
   {
-    instructions;
-    hint_instructions;
+    instructions = t.instructions;
+    hint_instructions = t.hint_instructions;
     cycles;
     ipc;
     demand_misses = l1i.Stats.demand_misses;
-    mpki = Stats.mpki l1i ~instructions:original;
+    mpki = Stats.mpki l1i ~instructions:(original t);
     l1i;
-    served_l2 = l2_served;
-    served_l3 = l3_served;
-    served_memory = mem_served;
+    served_l2 = t.l2_served;
+    served_l3 = t.l3_served;
+    served_memory = t.mem_served;
   }
 
 (* The timing state both drivers share — L1I, L2/L3 and the measured
-   counters — and the two steps that advance it: {!access} per L1I
-   access, {!end_block} per retired block.  [run_trace] feeds them from
-   a live front end, [replay] from a recorded stream; neither has a copy
-   of the other's semantics. *)
+   tally — and the two steps that advance it: {!access} per L1I access,
+   {!end_block} per retired block.  The live driver feeds them from the
+   front end, [replay] from a recorded stream; neither has a copy of the
+   other's semantics. *)
 type engine = {
   config : Config.t;
   l1 : Cache.t;
@@ -314,15 +362,8 @@ type engine = {
   (* Sampled runs silence [on_hint] on uncounted ramp blocks so callers'
      accuracy counters line up with the measured windows. *)
   mutable hints_observed : bool;
-  mutable instructions : int;
-  mutable hint_instructions : int;
-  (* Penalties are integers; accumulating in an int avoids a boxed-float
-     store per miss and converts once at the end.  (Bit-identical to
-     float accumulation: every partial sum is far below 2^53.) *)
-  mutable miss_cycles : int;
-  mutable l2_served : int;
-  mutable l3_served : int;
-  mutable mem_served : int;
+  (* Replaced, not zeroed, at every reset: read it through the engine. *)
+  mutable tally : tally;
 }
 
 let engine ~(config : Config.t) ~policy ~on_hint program =
@@ -333,28 +374,19 @@ let engine ~(config : Config.t) ~policy ~on_hint program =
     blocks = Program.blocks program;
     on_hint;
     hints_observed = true;
-    instructions = 0;
-    hint_instructions = 0;
-    miss_cycles = 0;
-    l2_served = 0;
-    l3_served = 0;
-    mem_served = 0;
+    tally = tally ();
   }
 
-(* One L1I access.  A demand miss is charged its exposed penalty and
-   counted by the level that served it; a completed prefetch that misses
-   fetches its line through L2/L3 uncounted.  True on a demand miss. *)
+(* One L1I access.  A demand miss is charged; a completed prefetch that
+   misses fetches its line through L2/L3 uncounted.  True on a demand
+   miss. *)
 let access e (acc : Access.packed) =
   match Cache.access_packed e.l1 acc with
   | Cache.Hit -> false
   | Cache.Miss ->
     let served = Hierarchy.fetch e.hierarchy (Access.packed_line acc) in
     if Access.packed_is_demand acc then begin
-      (match served with
-      | Hierarchy.L2 -> e.l2_served <- e.l2_served + 1
-      | Hierarchy.L3 -> e.l3_served <- e.l3_served + 1
-      | Hierarchy.Memory -> e.mem_served <- e.mem_served + 1);
-      e.miss_cycles <- e.miss_cycles + Hierarchy.penalty e.config served;
+      charge e.config e.tally served;
       true
     end
     else false
@@ -363,6 +395,7 @@ let access e (acc : Access.packed) =
    its own accesses and before any access of block [at + 1]. *)
 let end_block e ~at id =
   let b = e.blocks.(id) in
+  let t = e.tally in
   let hints = b.Basic_block.hints in
   for i = 0 to Array.length hints - 1 do
     let hint = hints.(i) in
@@ -371,18 +404,13 @@ let end_block e ~at id =
     (match hint with
     | Basic_block.Invalidate line -> Cache.invalidate e.l1 line
     | Basic_block.Demote line -> Cache.demote e.l1 line);
-    e.hint_instructions <- e.hint_instructions + 1
+    t.hint_instructions <- t.hint_instructions + 1
   done;
-  e.instructions <- e.instructions + Basic_block.total_instrs b
+  t.instructions <- t.instructions + Basic_block.total_instrs b
 
 let reset_counters e =
   Stats.reset (Cache.stats e.l1);
-  e.miss_cycles <- 0;
-  e.instructions <- 0;
-  e.hint_instructions <- 0;
-  e.l2_served <- 0;
-  e.l3_served <- 0;
-  e.mem_served <- 0
+  e.tally <- tally ()
 
 (* Periodic IPC/MPKI samples in *virtual* time (the trace index), so the
    series is a pure function of the run — identical at any pool size.
@@ -392,7 +420,6 @@ let sampler e ~obs ~n =
   match obs with
   | None -> None
   | Some obs ->
-    let config = e.config in
     let reg = Obs.Run.registry obs in
     register_obs reg;
     let ipc_series = Obs.Registry.series reg "ripple_sim_ipc" in
@@ -401,35 +428,22 @@ let sampler e ~obs ~n =
     Some
       (fun at ->
         if (at + 1) mod every = 0 then begin
-          let original = e.instructions - e.hint_instructions in
+          let original = original e.tally in
           if original > 0 then begin
-            let cycles =
-              (config.Config.cpi_base *. Float.of_int original)
-              +. (config.Config.hint_cpi *. Float.of_int e.hint_instructions)
-              +. (config.Config.miss_exposure *. Float.of_int e.miss_cycles)
-            in
-            Obs.Metric.sample ipc_series ~at
-              (if cycles > 0.0 then Float.of_int original /. cycles else 0.0);
+            Obs.Metric.sample ipc_series ~at (snd (timing e.config e.tally));
             Obs.Metric.sample mpki_series ~at
               (Stats.mpki (Cache.stats e.l1) ~instructions:original)
           end
         end)
 
-let observe obs e result =
-  match obs with
+(* [e]'s run ends: its result from a tally and L1I stats, observed. *)
+let conclude ?obs e t l1i =
+  let result = finish e.config t l1i in
+  (match obs with
   | Some o ->
     observe_result o result;
     observe_duel o e.l1
-  | None -> ()
-
-(* The unsampled result: the counters as they stand, observed. *)
-let finish_full ?obs e =
-  let result =
-    finish ~config:e.config ~instructions:e.instructions ~hint_instructions:e.hint_instructions
-      ~miss_cycles:(Float.of_int e.miss_cycles) ~l1i:(Cache.stats e.l1)
-      ~l2_served:e.l2_served ~l3_served:e.l3_served ~mem_served:e.mem_served
-  in
-  observe obs e result;
+  | None -> ());
   result
 
 (* Block [at]'s end in an unsampled run: its hints and instructions, the
@@ -441,10 +455,9 @@ let retire e ~sampler ~warmup ~n ~at id =
   (match sampler with Some f -> f at | None -> ());
   if at + 1 = warmup && warmup < n then reset_counters e
 
-let no_hint_observer ~at:_ _ ~resident:_ = ()
-
-let replay ?(config = Config.default) ?(warmup = 0) ?obs ?(on_hint = no_hint_observer)
-    ~program ~(trace : Trace.t) ~policy ~stream ~pos () =
+(* The unsampled run over a recorded stream: [pos i] is entry [i]'s
+   trace index. *)
+let replay ~config ~warmup ?obs ~on_hint ~program ~(trace : Trace.t) ~policy ~stream ~pos () =
   let n = Trace.length trace in
   let e = engine ~config ~policy ~on_hint program in
   let sampler = sampler e ~obs ~n in
@@ -462,15 +475,16 @@ let replay ?(config = Config.default) ?(warmup = 0) ?obs ?(on_hint = no_hint_obs
   Access_stream.iteri
     (fun i acc ->
       let at = pos i in
-      if at >= n then invalid_arg "Simulator.replay: stream position past the end of the trace";
+      if at >= n then
+        invalid_arg "Simulator.run_trace: recorded position past the end of the trace";
       retire_before at;
       ignore (access e acc : bool))
     stream;
   retire_before n;
-  finish_full ?obs e
+  conclude ?obs e e.tally (Cache.stats e.l1)
 
-(* [run_trace] with the live front end: prefetcher, predictors and the
-   in-flight queue run beside the caches. *)
+(* The run with the live front end: prefetcher, predictors and the
+   in-flight queue beside the caches. *)
 let run_front_end ~config ~warmup ?obs ~on_hint ?sampling ~program ~(trace : Trace.t) ~policy
     ~prefetcher () =
   let n = Trace.length trace in
@@ -488,7 +502,7 @@ let run_front_end ~config ~warmup ?obs ~on_hint ?sampling ~program ~(trace : Tra
       fetch ~at id;
       retire e ~sampler ~warmup ~n ~at id
     done;
-    (finish_full ?obs e, None)
+    (conclude ?obs e e.tally (Cache.stats e.l1), None)
   | Some (sampling : Sampling.t) ->
     let step at =
       let id = Trace.get trace at in
@@ -511,9 +525,7 @@ let run_front_end ~config ~warmup ?obs ~on_hint ?sampling ~program ~(trace : Tra
         restore_hierarchy ();
         restore_front_end ()
     in
-    let total_stats = Stats.create () in
-    let t_instr = ref 0 and t_hint = ref 0 and t_miss = ref 0 in
-    let t_l2 = ref 0 and t_l3 = ref 0 and t_mem = ref 0 in
+    let total_stats = Stats.create () and total = tally () in
     Array.iter
       (fun (w_start, w_end) ->
         restore ();
@@ -524,28 +536,19 @@ let run_front_end ~config ~warmup ?obs ~on_hint ?sampling ~program ~(trace : Tra
           step at
         done;
         e.hints_observed <- true;
+        (* Splice the window's deltas: a fresh tally, the L1I stats
+           against a snapshot. *)
         let snap = Stats.copy (Cache.stats e.l1) in
-        let s_instr = e.instructions and s_hint = e.hint_instructions in
-        let s_miss = e.miss_cycles in
-        let s_l2 = e.l2_served and s_l3 = e.l3_served and s_mem = e.mem_served in
+        e.tally <- tally ();
         for at = w_start to w_end - 1 do
           step at
         done;
-        t_instr := !t_instr + e.instructions - s_instr;
-        t_hint := !t_hint + e.hint_instructions - s_hint;
-        t_miss := !t_miss + e.miss_cycles - s_miss;
-        t_l2 := !t_l2 + e.l2_served - s_l2;
-        t_l3 := !t_l3 + e.l3_served - s_l3;
-        t_mem := !t_mem + e.mem_served - s_mem;
+        add_tally ~into:total e.tally;
         Stats.accumulate_delta ~into:total_stats ~before:snap ~after:(Cache.stats e.l1))
       spans;
-    let result =
-      finish ~config ~instructions:!t_instr ~hint_instructions:!t_hint
-        ~miss_cycles:(Float.of_int !t_miss) ~l1i:total_stats ~l2_served:!t_l2
-        ~l3_served:!t_l3 ~mem_served:!t_mem
-    in
-    observe obs e result;
-    (result, Some (Sampling.report_of_spans ~warmup ~n spans))
+    (conclude ?obs e total total_stats, Some (Sampling.report_of_spans ~warmup ~n spans))
+
+let no_hint_observer ~at:_ _ ~resident:_ = ()
 
 let run_trace ?(config = Config.default) ?(warmup = 0) ?obs ?(on_hint = no_hint_observer)
     ?sampling ?recorded ~program ~trace ~policy ~prefetcher () =
@@ -563,24 +566,17 @@ let run ?config ?warmup ?obs ?on_hint ~program ~trace ~policy ~prefetcher () =
     (run_trace ?config ?warmup ?obs ?on_hint ~program ~trace:(Trace.Blocks trace) ~policy
        ~prefetcher ())
 
-let instructions_from_trace ~program ~(trace : Trace.t) ~warmup =
+(* A tally holding the instructions of [trace] from [warmup] on. *)
+let instruction_tally ~program ~trace ~warmup =
   let per_block = Array.map Basic_block.total_instrs (Program.blocks program) in
-  let total = ref 0 in
-  for i = warmup to Trace.length trace - 1 do
-    total := !total + per_block.(Trace.get trace i)
+  let t = tally () in
+  for i = warmup to Array.length trace - 1 do
+    t.instructions <- t.instructions + per_block.(trace.(i))
   done;
-  !total
+  t
 
-let instructions_from ~program ~trace ~warmup =
-  instructions_from_trace ~program ~trace:(Trace.Blocks trace) ~warmup
-
-let ideal_cache_trace ?(config = Config.default) ?(warmup = 0) ~program ~trace () =
-  let instructions = instructions_from_trace ~program ~trace ~warmup in
-  finish ~config ~instructions ~hint_instructions:0 ~miss_cycles:0.0 ~l1i:(Stats.create ())
-    ~l2_served:0 ~l3_served:0 ~mem_served:0
-
-let ideal_cache ?config ?warmup ~program ~trace () =
-  ideal_cache_trace ?config ?warmup ~program ~trace:(Trace.Blocks trace) ()
+let ideal_cache ?(config = Config.default) ?(warmup = 0) ~program ~trace () =
+  finish config (instruction_tally ~program ~trace ~warmup) (Stats.create ())
 
 let record_stream_indexed_trace ?(config = Config.default) ?backing ~program
     ~(trace : Trace.t) ~prefetcher () =
@@ -599,36 +595,15 @@ let record_stream_indexed_trace ?(config = Config.default) ?backing ~program
   done;
   (Access_stream.Builder.finish builder, Int_stream.Builder.finish pos)
 
-let record_stream_indexed ?config ~program ~trace ~prefetcher () =
-  let stream, pos =
-    record_stream_indexed_trace ?config ~program ~trace:(Trace.Blocks trace) ~prefetcher ()
-  in
-  (stream, Int_stream.to_array pos)
+let stream_count_from ~stream_pos ~warmup =
+  (* First stream index belonging to the measured region. *)
+  let n = Array.length stream_pos in
+  let rec find i = if i >= n then n else if stream_pos.(i) >= warmup then i else find (i + 1) in
+  if warmup = 0 then 0 else find 0
 
-let record_stream ?config ~program ~trace ~prefetcher () =
-  fst (record_stream_indexed ?config ~program ~trace ~prefetcher ())
-
-(* Assemble an oracle result from a finished Belady replay: drive the
-   L2/L3 hierarchy with the recorded fill sequence (in stream order, as
-   [on_fill] would have during the replay) and charge the demand-fill
-   penalties of the measured region. *)
-let oracle_result ?(config = Config.default) ~instructions ~count_from ~stream
-    (res : Belady.result) =
-  let hierarchy = Hierarchy.create config in
-  let miss_cycles = ref 0 in
-  let l2_served = ref 0 and l3_served = ref 0 and mem_served = ref 0 in
-  Array.iter
-    (fun index ->
-      let acc = Access_stream.get stream index in
-      let served = Hierarchy.fetch hierarchy (Access.packed_line acc) in
-      if Access.packed_is_demand acc && index >= count_from then begin
-        (match served with
-        | Hierarchy.L2 -> incr l2_served
-        | Hierarchy.L3 -> incr l3_served
-        | Hierarchy.Memory -> incr mem_served);
-        miss_cycles := !miss_cycles + Hierarchy.penalty config served
-      end)
-    res.Belady.fills;
+(* Belady's counters as L1I stats: every ideal eviction is a
+   replacement decision. *)
+let stats_of_belady (res : Belady.result) =
   let stats = Stats.create () in
   stats.Stats.demand_accesses <- res.Belady.demand_accesses;
   stats.Stats.demand_misses <- res.Belady.demand_misses;
@@ -637,59 +612,41 @@ let oracle_result ?(config = Config.default) ~instructions ~count_from ~stream
   stats.Stats.prefetch_fills <- res.Belady.prefetch_fills;
   stats.Stats.evictions <- res.Belady.n_evictions;
   stats.Stats.replacement_decisions <- res.Belady.n_evictions;
-  finish ~config ~instructions ~hint_instructions:0 ~miss_cycles:(Float.of_int !miss_cycles)
-    ~l1i:stats ~l2_served:!l2_served ~l3_served:!l3_served ~mem_served:!mem_served
-
-let stream_count_from ~stream_pos ~warmup =
-  (* First stream index belonging to the measured region. *)
-  let n = Array.length stream_pos in
-  let rec find i = if i >= n then n else if stream_pos.(i) >= warmup then i else find (i + 1) in
-  if warmup = 0 then 0 else find 0
+  stats
 
 let oracle ?(config = Config.default) ?(warmup = 0) ?stream ?replay ~mode ~program ~trace
     ~prefetcher () =
   let stream, stream_pos =
     match stream with
     | Some s -> s
-    | None -> record_stream_indexed ~config ~program ~trace ~prefetcher ()
+    | None ->
+      let stream, pos =
+        record_stream_indexed_trace ~config ~program ~trace:(Trace.Blocks trace) ~prefetcher ()
+      in
+      (stream, Int_stream.to_array pos)
   in
   let count_from = stream_count_from ~stream_pos ~warmup in
-  let instructions = instructions_from ~program ~trace ~warmup in
-  match replay with
-  | Some (res : Belady.result) ->
-    (* A sharded (or otherwise precomputed) Belady replay: the recorded
-       fill sequence substitutes for the inline [on_fill] hierarchy
-       drive, byte-identically. *)
-    oracle_result ~config ~instructions ~count_from ~stream res
-  | None ->
-    let hierarchy = Hierarchy.create config in
-    let miss_cycles = ref 0 in
-    let l2_served = ref 0 and l3_served = ref 0 and mem_served = ref 0 in
-    let on_fill ~index (acc : Access.packed) =
-      let served = Hierarchy.fetch hierarchy (Access.packed_line acc) in
-      if Access.packed_is_demand acc && index >= count_from then begin
-        (match served with
-        | Hierarchy.L2 -> incr l2_served
-        | Hierarchy.L3 -> incr l3_served
-        | Hierarchy.Memory -> incr mem_served);
-        miss_cycles := !miss_cycles + Hierarchy.penalty config served
-      end
-    in
-    (* The timing replay only needs counters and the fill callback — not
-       the boxed eviction records, which would otherwise be the last
-       O(n)-in-the-heap structure on the paper-scale oracle path. *)
-    let res =
+  let t = instruction_tally ~program ~trace ~warmup in
+  (* Every ideal fill goes through the L2/L3 hierarchy in stream order;
+     the measured demand fills are charged. *)
+  let hierarchy = Hierarchy.create config in
+  let on_fill ~index (acc : Access.packed) =
+    let served = Hierarchy.fetch hierarchy (Access.packed_line acc) in
+    if Access.packed_is_demand acc && index >= count_from then charge config t served
+  in
+  let res =
+    match replay with
+    | Some (res : Belady.result) ->
+      (* A sharded (or otherwise precomputed) Belady replay: its recorded
+         fill sequence stands in for the inline pass's callbacks. *)
+      Array.iter (fun index -> on_fill ~index (Access_stream.get stream index)) res.Belady.fills;
+      res
+    | None ->
+      (* The timing replay only needs counters and the fill callback —
+         not the boxed eviction records, which would otherwise be the
+         last O(n)-in-the-heap structure on the paper-scale oracle
+         path. *)
       Belady.simulate ~record_evictions:false ~on_fill ~count_from config.Config.l1i ~mode
         stream
-    in
-    let stats = Stats.create () in
-    stats.Stats.demand_accesses <- res.Belady.demand_accesses;
-    stats.Stats.demand_misses <- res.Belady.demand_misses;
-    stats.Stats.demand_misses_cold <- res.Belady.demand_misses_cold;
-    stats.Stats.prefetch_accesses <- res.Belady.prefetch_accesses;
-    stats.Stats.prefetch_fills <- res.Belady.prefetch_fills;
-    stats.Stats.evictions <- res.Belady.n_evictions;
-    stats.Stats.replacement_decisions <- res.Belady.n_evictions;
-    finish ~config ~instructions ~hint_instructions:0
-      ~miss_cycles:(Float.of_int !miss_cycles) ~l1i:stats ~l2_served:!l2_served
-      ~l3_served:!l3_served ~mem_served:!mem_served
+  in
+  finish config t (stats_of_belady res)

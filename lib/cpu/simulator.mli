@@ -5,9 +5,17 @@
     charging [cpi_base] per retired instruction plus the exposed latency
     of every L1I demand miss.  Injected Ripple hints execute at the end
     of their block (invalidating or demoting their target line in the
-    L1I only).  {!replay} drives the same caches and timing from a
-    recorded access stream instead of the live front end, which is how
-    one recording serves every replacement policy.
+    L1I only).
+
+    The surface is one recorder and three ways to time a trace.
+    {!record_stream_indexed_trace} records the access stream the front
+    end issues, with each access's trace position.  {!run_trace} times
+    the trace under a replacement policy; it alone chooses between the
+    live front end and a recording offered as [~recorded], which is how
+    one recording serves every policy ({!run} is its [int array]
+    form).  {!oracle} times the recorded stream under ideal replacement
+    and {!ideal_cache} under a cache that never misses.  Every driver
+    counts a demand miss's serving level and penalty in one place.
 
     IPC is computed over {e original} instructions (hint instructions
     excluded from the numerator, though they cost cycles), so runs of the
@@ -147,55 +155,38 @@ val run_trace :
     selected windows, splicing their counter deltas; [on_hint] fires only
     inside measured windows, and the periodic IPC/MPKI series is not
     emitted.  A degenerate sampling (windows covering the whole
-    steady-state region) reproduces the full run's result exactly.
+    steady-state region) reproduces the full run's result exactly.  The
+    [ripple_duel_*] counters and the [ripple_duel_psel] gauge of a
+    sampled run cover the warm-up plus the last window and its ramp
+    only: restoring the checkpoint rewinds the policy's set duel with
+    it, while the result splices every window.
 
     [recorded] offers the access stream [prefetcher] issues over [trace]
-    (with its position index, as {!replay} takes them).  An unsampled
-    run then calls it and is {!replay} over what it returns, with the
-    same result, [obs] snapshot and [on_hint] sequence; a sampled run
-    never calls it, because its checkpoints rewind the prefetcher, so it
-    always drives the live front end.  Offer a recording only for a
-    prefetcher whose issue stream is a function of control flow alone
-    (see {!replay}).  The caller keeps ownership of the stream. *)
+    and its position index: the stream recorded by
+    {!record_stream_indexed_trace} with the same [config] and [program],
+    and [pos i], entry [i]'s trace index.  An unsampled run then calls
+    it and drives the L1I and L2/L3 from the stream instead of the front
+    end.  Per entry it does what the live run does per access: a demand
+    miss charges its penalty and counts the level that served it, a
+    completed prefetch fetches its line through L2/L3 uncounted.  When
+    the position index moves past block [at] (or the stream ends), block
+    [at] retires: its hints run ([on_hint], then the invalidate or
+    demote), its instructions are counted and the IPC/MPKI sampler
+    ticks; the counters reset before the first entry tagged [warmup].
+    Raises [Invalid_argument] on a position at or past the end of
+    [trace].  A sampled run never calls [recorded], because its
+    checkpoints rewind the prefetcher, so it always drives the live
+    front end.  The caller keeps ownership of the stream.
 
-val replay :
-  ?config:Config.t ->
-  ?warmup:int ->
-  ?obs:Ripple_obs.Run.t ->
-  ?on_hint:(at:int -> Ripple_isa.Basic_block.hint -> resident:bool -> unit) ->
-  program:Program.t ->
-  trace:Trace.t ->
-  policy:Policy.factory ->
-  stream:Access_stream.t ->
-  pos:(int -> int) ->
-  unit ->
-  result
-(** {!run_trace} without the front end: drives the L1I (under [policy])
-    and the L2/L3 hierarchy from [stream], the access stream recorded
-    over [trace] by {!record_stream_indexed_trace} with the same
-    [config] and [program]; [pos i] is entry [i]'s trace index from the
-    position index recorded with it.  Per access it does what
-    [run_trace] does: a demand access charges a miss penalty and counts
-    the level that served it, a completed prefetch fetches its line
-    through L2/L3 uncounted.  When the position index moves past block
-    [at] — before the first entry of a later block, or at the end of
-    the stream — block [at] retires: its hints run ([on_hint], then the
-    invalidate or demote), its instructions are counted and the [obs]
-    IPC/MPKI sampler ticks.  The counters are reset before the first
-    entry tagged [warmup].  Raises [Invalid_argument] on a position at
-    or past the end of [trace].
-
-    Callers reach it through {!run_trace}[ ~recorded], which owns the
-    choice between the two drivers.  The result, the [obs] snapshot and
-    the [on_hint] sequence equal those of an unsampled [run_trace]
-    without [recorded] over the same inputs {e provided} the
+    The result, the [obs] snapshot and the [on_hint] sequence of a run
+    over a recording equal those of the live run {e provided} the
     prefetcher's issue stream is a function of control flow alone (see
-    {!Ripple_prefetch.Prefetcher}).  The stream was recorded beside an
+    {!Ripple_prefetch.Prefetcher}): the stream was recorded beside an
     LRU model, so a prefetcher that reacts to [~missed] would have
     issued differently under [policy] or under the hints.  The three
     pipeline prefetchers ({!prefetcher_none}, {!prefetcher_nlp},
-    {!prefetcher_fdip}) qualify; RDIP, which trains on misses, does not,
-    and its runs must drive the live front end. *)
+    {!prefetcher_fdip}) qualify; RDIP, which trains on misses, does
+    not, and its runs must drive the live front end. *)
 
 val register_obs : Ripple_obs.Registry.t -> unit
 (** Pre-registers the simulator's whole metric vocabulary
@@ -213,10 +204,6 @@ val ideal_cache :
   ?config:Config.t -> ?warmup:int -> program:Program.t -> trace:int array -> unit -> result
 (** The Fig. 1 limit: an I-cache that never misses. *)
 
-val ideal_cache_trace :
-  ?config:Config.t -> ?warmup:int -> program:Program.t -> trace:Trace.t -> unit -> result
-(** {!ideal_cache} over either trace representation. *)
-
 val oracle :
   ?config:Config.t ->
   ?warmup:int ->
@@ -229,69 +216,25 @@ val oracle :
   unit ->
   result
 (** Ideal replacement (MIN or Demand-MIN) over the access stream the
-    prefetcher produces ({!record_stream}); the oracle replays it
-    offline — the standard construction for prefetch-aware replacement
-    limit studies.  [stream] supplies a
-    pre-recorded indexed stream (as returned by
-    {!record_stream_indexed} for the same config/trace/prefetcher),
-    letting callers that run several oracles over one stream — or memo
-    it across cells — skip the re-recording; recording is
-    deterministic, so the result is identical either way.
+    prefetcher produces ({!record_stream_indexed_trace}); the oracle
+    replays it offline — the standard construction for prefetch-aware
+    replacement limit studies.  [stream] supplies that recording, with
+    its position index as an array, letting callers that run several
+    oracles over one stream — or share it across cells — skip the
+    re-recording; recording is deterministic, so the result is identical
+    either way.
 
-    [replay] supplies a finished Belady replay (recorded with
+    Every ideal fill, in stream order, fetches its line through a fresh
+    L2/L3 hierarchy, and the demand fills from the first measured entry
+    on are charged.  Without [replay] the fills come from an inline
+    Belady pass.  [replay] supplies a finished one instead (recorded with
     [~record_fills:true], possibly assembled from per-set shards with
-    {!Belady.merge}); the Belady pass is then skipped and the recorded
-    fill sequence drives the L2/L3 hierarchy instead — byte-identical to
-    the inline pass, since fills are replayed in stream order. *)
-
-val oracle_result :
-  ?config:Config.t ->
-  instructions:int ->
-  count_from:int ->
-  stream:Access_stream.t ->
-  Belady.result ->
-  result
-(** The assembly step of {!oracle}[ ~replay] on its own: replays the
-    recorded fills through a fresh L2/L3 hierarchy and packages the
-    Belady counters as a simulation result.  [instructions] is the
-    steady-state instruction count of the underlying trace;
-    [count_from] the first measured stream index. *)
+    {!Belady.merge}); its fill sequence drives the hierarchy, so the
+    result is byte-identical to the inline pass. *)
 
 val stream_count_from : stream_pos:int array -> warmup:int -> int
 (** First stream index whose recorded trace position is [>= warmup] —
     the [count_from] boundary shared by {!oracle} and sharded callers. *)
-
-val record_stream :
-  ?config:Config.t ->
-  program:Program.t ->
-  trace:int array ->
-  prefetcher:(Program.t -> Prefetcher.t) ->
-  unit ->
-  Access_stream.t
-(** The demand+prefetch access stream the front end issues over
-    [trace]: per block, the prefetches completing as it is fetched, then
-    its demand fetches — the input to {!oracle}, {!replay} and Ripple's
-    offline analysis.  An LRU L1I model runs alongside only to supply
-    the prefetcher's [~missed] argument, which none of the pipeline
-    prefetchers reads, so for them the stream is a function of the
-    trace and the program alone and holds for every replacement policy.
-    Recorded straight into packed chunks: one word per access, no boxed
-    records, so a 10x longer trace costs 10x one-word entries and
-    nothing else. *)
-
-val record_stream_indexed :
-  ?config:Config.t ->
-  program:Program.t ->
-  trace:int array ->
-  prefetcher:(Program.t -> Prefetcher.t) ->
-  unit ->
-  Access_stream.t * int array
-(** Like {!record_stream}, additionally returning, per stream entry, the
-    index into [trace] of the block being fetched when the access
-    reached the L1I (for a prefetch, the block it completes at, not the
-    one that issued it) — the coordinate change Ripple's analysis uses
-    to express eviction windows over the basic-block trace, and the
-    block boundaries {!replay} retires blocks at. *)
 
 val record_stream_indexed_trace :
   ?config:Config.t ->
@@ -301,11 +244,24 @@ val record_stream_indexed_trace :
   prefetcher:(Program.t -> Prefetcher.t) ->
   unit ->
   Access_stream.t * Int_stream.t
-(** {!record_stream_indexed} generalized over the trace representation
-    and the stream backing: with [~backing:(Spill _)] both the access
-    stream and its position index are written through to mmap-backed
-    spill files, so recording a 100 M-block trace leaves O(1) heap
-    behind. *)
+(** The demand+prefetch access stream the front end issues over
+    [trace]: per block, the prefetches completing as it is fetched, then
+    its demand fetches — the input to {!oracle}, to {!run_trace}'s
+    [recorded] and to Ripple's offline analysis.  Beside it, per stream
+    entry, the index into [trace] of the block being fetched when the
+    access reached the L1I (for a prefetch, the block it completes at,
+    not the one that issued it) — the coordinate change Ripple's
+    analysis uses to express eviction windows over the basic-block
+    trace, and the block boundaries a run over the recording retires
+    blocks at.  An LRU L1I model runs alongside only to supply the
+    prefetcher's [~missed] argument, which none of the pipeline
+    prefetchers reads, so for them the stream is a function of the
+    trace and the program alone and holds for every replacement policy.
+
+    Recorded straight into packed chunks: one word per access, no boxed
+    records.  With [~backing:(Spill _)] both the access stream and its
+    position index are written through to mmap-backed spill files, so
+    recording a 100 M-block trace leaves O(1) heap behind. *)
 
 val prefetcher_none : Program.t -> Prefetcher.t
 val prefetcher_nlp : ?config:Config.t -> Program.t -> Prefetcher.t

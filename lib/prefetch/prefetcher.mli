@@ -14,7 +14,7 @@
     depend on the blocks and lines it is shown, never on [~missed] — the
     front end's access stream is the same under every replacement policy
     and every hint, so it can be recorded once and replayed per policy
-    ([Ripple_cpu.Simulator.replay]).  {!none}, [Nlp] and [Fdip] meet
+    ([Ripple_cpu.Simulator.run_trace ~recorded]).  {!none}, [Nlp] and [Fdip] meet
     it (pinned by a test in [test_prefetch.ml]); [Rdip], which trains
     on misses, does not, and is simulated live. *)
 

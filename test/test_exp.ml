@@ -241,30 +241,38 @@ let test_shard_ranges () =
 
 (* Set-sharded ideal replacement is an execution strategy, not a model
    change: the merged result equals the unsharded oracle exactly, at
-   any shard count. *)
+   any shard count, under either ideal policy and with or without a
+   warm-up. *)
 let test_sharded_oracle_identity () =
   let module W = Ripple_workloads in
   let module Simulator = Cpu.Simulator in
   let w = W.Cfg_gen.generate W.Apps.kafka in
   let trace = W.Executor.run w ~input:W.Executor.train ~n_instrs:80_000 in
   let program = w.W.Cfg_gen.program in
-  let warmup = Array.length trace / 2 in
   let prefetcher = Simulator.prefetcher_fdip in
-  let stream = Simulator.record_stream_indexed ~program ~trace ~prefetcher () in
-  let unsharded =
-    Simulator.oracle ~warmup ~stream ~mode:Cache.Belady.Demand_min ~program ~trace
-      ~prefetcher ()
+  let stream =
+    let stream, pos =
+      Simulator.record_stream_indexed_trace ~program ~trace:(Simulator.Trace.Blocks trace)
+        ~prefetcher ()
+    in
+    (stream, Ripple_util.Int_stream.to_array pos)
   in
   List.iter
-    (fun shards ->
-      let sharded =
-        Exp.Shard.oracle ~shards ~warmup ~stream ~mode:Cache.Belady.Demand_min ~program
-          ~trace ~prefetcher ()
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "shards=%d equals unsharded" shards)
-        true (sharded = unsharded))
-    [ 2; 5 ]
+    (fun (mode, mode_name) ->
+      List.iter
+        (fun warmup ->
+          let unsharded = Simulator.oracle ~warmup ~stream ~mode ~program ~trace ~prefetcher () in
+          List.iter
+            (fun shards ->
+              let sharded =
+                Exp.Shard.oracle ~shards ~warmup ~stream ~mode ~program ~trace ~prefetcher ()
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s warmup=%d shards=%d equals unsharded" mode_name warmup shards)
+                true (sharded = unsharded))
+            [ 2; 5 ])
+        [ 0; Array.length trace / 2 ])
+    [ (Cache.Belady.Min, "min"); (Cache.Belady.Demand_min, "demand-min") ]
 
 (* Backing, sampling and sharding are representation/execution choices:
    the sweep JSONL must not change when any of them does (sampling only

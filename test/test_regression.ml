@@ -44,7 +44,10 @@ let test_oracle () =
 
 let test_stream_length () =
   let program, trace = Lazy.force setup in
-  let stream = Simulator.record_stream ~program ~trace ~prefetcher:Simulator.prefetcher_none () in
+  let stream, _ =
+    Simulator.record_stream_indexed_trace ~program ~trace:(Simulator.Trace.Blocks trace)
+      ~prefetcher:Simulator.prefetcher_none ()
+  in
   checki "stream length" 49_115 (Cache.Access_stream.length stream)
 
 let suites =

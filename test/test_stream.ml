@@ -253,7 +253,13 @@ let prop_oracle_recorded_stream_equivalence =
       let program = w.W.Cfg_gen.program in
       let trace = W.Executor.run w ~input:W.Executor.train ~n_instrs:40_000 in
       let prefetcher = Simulator.prefetcher_fdip in
-      let stream = Simulator.record_stream_indexed ~program ~trace ~prefetcher () in
+      let stream =
+        let stream, pos =
+          Simulator.record_stream_indexed_trace ~program ~trace:(Simulator.Trace.Blocks trace)
+            ~prefetcher ()
+        in
+        (stream, Ripple_util.Int_stream.to_array pos)
+      in
       let with_stream =
         Simulator.oracle ~warmup:1_000 ~stream ~mode:Belady.Demand_min ~program ~trace
           ~prefetcher ()
